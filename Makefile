@@ -42,7 +42,7 @@ reweight-drill:
 
 # overload-drill runs the adaptive overload-control drill: the real
 # `serve -overload` command scraped over HTTP, asserting the gradient
-# limiter converges under 4x sustained overload with injected wave latency,
+# limiter converges under 4x sustained overload with injected request latency,
 # interactive queries are never browned out while batch queries are
 # answered exactly from the fallback engine, and the rebuild circuit
 # breaker opens under injected failures then recovers via a half-open
@@ -120,11 +120,12 @@ bench-build-baseline:
 
 # bench-query runs the query-path experiment (E-query) and gates it against
 # the recorded baseline BENCH_query.json: executed and pruned counted work
-# must match the baseline exactly (and be independent of P for the batched
-# wave), steady-state query allocations must stay within tolerance, the
-# optimized single-source executor must hold its speedup floor over the
-# retained naive reference relaxer at the largest n, and the k=32 wave must
-# scale on multi-CPU runners (see DESIGN.md "Query performance").
+# must match the baseline exactly (and be equal for one and for GOMAXPROCS
+# concurrent callers), steady-state query allocations must stay within
+# tolerance, the optimized single-source executor must hold its speedup
+# floor over the retained naive reference relaxer at the largest n, and
+# GOMAXPROCS concurrent callers must scale past their floor on multi-CPU
+# runners (see DESIGN.md "Query performance").
 # bench-query-baseline re-records the baseline after an intentional kernel
 # change.
 bench-query:

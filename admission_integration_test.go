@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,18 +20,26 @@ import (
 	"sepsp/internal/faultinject"
 )
 
-// TestServerPriorityEviction holds the dispatcher (newServer never starts
-// run) so admission decisions are the only moving part: background
-// requests fill the window, then an interactive arrival displaces the
-// youngest of them, which must be answered ErrServerOverloaded on its own
-// goroutine — the internal errEvicted sentinel must never escape.
+// TestServerPriorityEviction holds the one serving slot so admission
+// decisions are the only moving part: background requests fill the queue
+// up to MaxInFlight, then an interactive arrival displaces the youngest of
+// them, which must be answered ErrServerOverloaded on its own goroutine —
+// the internal errEvicted sentinel must never escape.
 func TestServerPriorityEviction(t *testing.T) {
 	ix, _ := serverIndex(t)
-	srv, err := newServer(ix, &ServerOptions{MaxInFlight: 2})
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{MaxInFlight: 3, Admission: oneSlot, Inject: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.q.Close()
+	defer srv.Close()
+	defer gate.open()
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 9)
+		held <- err
+	}()
+	waitFor(t, "the held request", func() bool { return gate.entered.Load() == 1 })
 
 	bctx, bcancel := context.WithCancel(context.Background())
 	defer bcancel()
@@ -41,13 +50,7 @@ func TestServerPriorityEviction(t *testing.T) {
 			bgErr <- err
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.q.Len() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background requests never queued (len=%d)", srv.q.Len())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "background requests to queue", func() bool { return srv.q.Len() == 2 })
 
 	ictx, icancel := context.WithCancel(context.Background())
 	defer icancel()
@@ -58,7 +61,7 @@ func TestServerPriorityEviction(t *testing.T) {
 	}()
 
 	// The displaced background request resolves now; the interactive one
-	// stays queued (no dispatcher) until its context is cancelled.
+	// stays queued (the slot is held) until its context is cancelled.
 	select {
 	case err := <-bgErr:
 		if !errors.Is(err, ErrServerOverloaded) {
@@ -90,6 +93,10 @@ func TestServerPriorityEviction(t *testing.T) {
 	if err := <-bgErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("remaining background request got %v after cancel, want context.Canceled", err)
 	}
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
 }
 
 // TestServerBrownoutExactAnswers verifies the brownout contract end to end:
@@ -103,19 +110,22 @@ func TestServerBrownoutExactAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(ix, &ServerOptions{
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{
 		MaxInFlight: 2,
-		// Engage on the very first shed: one Note(true) moves the EWMA to
-		// its alpha (0.05), past this threshold.
-		Admission: &AdmissionOptions{BrownoutThreshold: 0.01},
+		Inject:      gate,
+		// One slot, and engage on the very first shed: one Note(true)
+		// moves the EWMA to its alpha (0.05), past this threshold.
+		Admission: &AdmissionOptions{Initial: 1, Min: 1, BrownoutThreshold: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.q.Close()
+	defer srv.Close()
+	defer gate.open()
 
-	// Occupy the whole window with queued interactive requests (the
-	// dispatcher is never started, so they stay queued).
+	// Fill MaxInFlight with interactive requests: one holds the slot, one
+	// waits for it.
 	octx, ocancel := context.WithCancel(context.Background())
 	defer ocancel()
 	occErr := make(chan error, 2)
@@ -125,13 +135,9 @@ func TestServerBrownoutExactAnswers(t *testing.T) {
 			occErr <- err
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.q.Len() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("occupants never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "occupants to fill the server", func() bool {
+		return gate.entered.Load() == 1 && srv.q.Len() == 1
+	})
 
 	// A batch arrival cannot evict interactive work, so it is shed — and
 	// the shed engages brownout, which must answer it exactly.
@@ -160,11 +166,11 @@ func TestServerBrownoutExactAnswers(t *testing.T) {
 		t.Fatal("brownout detector not active after engaging")
 	}
 
-	// An interactive arrival over the same full window is refused, never
+	// An interactive arrival over the same full server is refused, never
 	// browned out.
 	_, err = srv.SSSP(context.Background(), src)
 	if !errors.Is(err, ErrServerOverloaded) {
-		t.Fatalf("interactive over full window got %v, want ErrServerOverloaded", err)
+		t.Fatalf("interactive over full server got %v, want ErrServerOverloaded", err)
 	}
 	if errors.Is(err, ErrBrownout) {
 		t.Fatalf("interactive refusal carries ErrBrownout: %v", err)
@@ -174,6 +180,7 @@ func TestServerBrownoutExactAnswers(t *testing.T) {
 	}
 
 	ocancel()
+	gate.open()
 	<-occErr
 	<-occErr
 }
@@ -243,28 +250,43 @@ func TestManagerRebuildBreakerOpensAndRecovers(t *testing.T) {
 }
 
 // TestOverloadRampPriorityLatency is the -race overload-ramp chaos test:
-// a live server with every wave stalled by injected latency takes ~4× its
-// admission ceiling in mixed interactive/batch clients (brownout disabled,
-// so priority shows up purely as eviction and retry). The contract: the
-// server keeps real goodput, and interactive latency beats batch latency at
-// the tail, because interactive arrivals displace queued batch work.
+// a live server with every request stalled by injected latency takes ~4×
+// its admission ceiling in mixed interactive/batch clients (brownout
+// disabled, so priority shows up purely as eviction and retry). The
+// contract: the server keeps real goodput, and interactive latency beats
+// batch latency at the tail, because interactive arrivals displace queued
+// batch work.
+//
+// Service time is the injected delay alone, and the limiter measures it on
+// a virtual clock that advances by that delay whenever one fires — so the
+// RTTs steering admission count the services overlapping each request,
+// not how fast the host (or the race detector) happens to run them.
 func TestOverloadRampPriorityLatency(t *testing.T) {
 	g, grid := gridGraph(t, 6, 6, 41)
 	ix, err := Build(g, &Options{Coordinates: grid.Coord})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.NewSeeded(faultinject.Config{
+	const stall = 2 * time.Millisecond
+	seeded := faultinject.NewSeeded(faultinject.Config{
 		Seed: 99,
 		Sites: map[string]faultinject.SiteConfig{
-			faultinject.SiteServerWave: {DelayPerMille: 1000, Delay: 2 * time.Millisecond},
+			faultinject.SiteServerWave: {DelayPerMille: 1000, Delay: stall},
 		},
 	})
+	var virtual atomic.Int64 // nanoseconds of injected service so far
+	inj := injectFunc(func(site string) {
+		if seeded.Fire(site) == faultinject.Delay {
+			virtual.Add(int64(stall))
+		}
+	})
 	srv, err := NewServer(ix, &ServerOptions{
-		MaxBatch:    4,
 		MaxInFlight: 8,
 		Inject:      inj,
-		Admission:   &AdmissionOptions{BrownoutThreshold: -1},
+		Admission: &AdmissionOptions{
+			BrownoutThreshold: -1,
+			now:               func() time.Time { return time.Unix(0, virtual.Load()) },
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

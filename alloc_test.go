@@ -61,19 +61,3 @@ func TestBuildAllocBudget(t *testing.T) {
 		t.Fatalf("Build allocates %.0f objects per run, budget %d", avg, budget)
 	}
 }
-
-// TestSourcesBatchedSteadyStateAllocs bounds the batched wave: the k result
-// rows and their spine, with the k×n working buffer pooled.
-func TestSourcesBatchedSteadyStateAllocs(t *testing.T) {
-	g, grid := gridGraph(t, 12, 12, 9)
-	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := []int{0, 5, 9, 17}
-	ix.SourcesBatched(srcs)
-	k := float64(len(srcs))
-	if avg := testing.AllocsPerRun(50, func() { _ = ix.SourcesBatched(srcs) }); avg > k+2 {
-		t.Fatalf("SourcesBatched allocates %.1f objects per call, want <= %g (k rows + spine + slack)", avg, k+2)
-	}
-}

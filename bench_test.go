@@ -7,9 +7,13 @@ package sepsp
 // conventional micro-benchmarks of the hot kernels.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sepsp/internal/augment"
@@ -299,35 +303,43 @@ func BenchmarkSSSPHot(b *testing.B) {
 	}
 }
 
-// BenchmarkSourcesBatchedWave times the lane-parallel batched wave across
-// batch widths k and worker counts P: one shared edge sweep relaxes k
-// distance lanes per phase, with the lane dimension partitioned across
-// workers (no atomics; see DESIGN.md "Query performance"). P=4 rows on a
-// multi-CPU machine show the wave's scaling; counted work is independent
-// of P.
-func BenchmarkSourcesBatchedWave(b *testing.B) {
-	for _, k := range []int{8, 32} {
-		for _, p := range []int{1, 4} {
-			b.Run(fmt.Sprintf("k=%d/P=%d", k, p), func(b *testing.B) {
-				g, grid := gridGraph(b, 64, 64, 9)
-				ix, err := Build(g, &Options{
-					Decomposition: GridDecomposition(grid.Coord),
-					Workers:       p,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				srcs := make([]int, k)
-				for j := range srcs {
-					srcs[j] = (j * 37) % g.N()
-				}
-				ix.SourcesBatched(srcs) // warm the workspace pool
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = ix.SourcesBatched(srcs)
-				}
-			})
-		}
+// BenchmarkServerCallers times uncached Server.SSSP requests on a 64×64
+// grid from one caller and from GOMAXPROCS concurrent callers: each
+// request runs the single-source kernel on its caller's goroutine, so on a
+// multi-CPU machine the GOMAXPROCS row's ns/op (wall time per request)
+// shows the cross-request parallelism; counted work per request is fixed
+// by the schedule either way (see DESIGN.md "Concurrency and serving").
+func BenchmarkServerCallers(b *testing.B) {
+	g, grid := gridGraph(b, 64, 64, 9)
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := g.N()
+	for _, callers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			srv, err := NewServer(ix, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			var next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+						if _, err := srv.SSSP(context.Background(), int(i*37)%n); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -72,7 +72,6 @@ func TestChaosServingWithFallback(t *testing.T) {
 		t.Fatalf("Build with fallback must degrade rather than fail: %v", err)
 	}
 	srv, err := NewServer(ix, &ServerOptions{
-		MaxBatch:     8,
 		MaxInFlight:  16,
 		QueueTimeout: 250 * time.Millisecond,
 		Inject:       inj,
@@ -113,7 +112,6 @@ func TestChaosServingFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(ix, &ServerOptions{
-		MaxBatch:     8,
 		MaxInFlight:  16,
 		QueueTimeout: 250 * time.Millisecond,
 		Inject:       inj,

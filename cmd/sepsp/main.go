@@ -15,15 +15,17 @@
 //	pairs -pairs u:v,u:v     exact pair distances via the hub-label oracle
 //	tree                     render the separator decomposition tree
 //	stats                    preprocessing statistics and cost breakdowns
-//	serve [-clients C] [-requests R] [-maxbatch B] [-inflight F] [-seed S]
+//	serve [-clients C] [-requests R] [-inflight F] [-seed S]
 //	      [-timeout D] [-chaos P] [-chaosseed S] [-listen ADDR] [-linger D]
 //	      [-log-level L] [-reweight FILE] [-reweight-every D]
 //	      [-priority-mix I:B:G] [-overload] [-cache-mb MB] [-hot-sources K]
 //	                         drive a synthetic concurrent load through the
-//	                         batching Server and print throughput and wave
-//	                         coalescing statistics (load test). -chaos P
+//	                         Server and print throughput and outcome counts
+//	                         (load test); "serve: load complete" on stderr
+//	                         marks the end of the load. -chaos P
 //	                         deterministically injects panics (P‰) and delays
-//	                         (2P‰) at every worker, phase, and wave boundary;
+//	                         (2P‰) at every worker, phase, and request
+//	                         boundary;
 //	                         the index is built with the baseline fallback so
 //	                         every request still ends in a correct answer or
 //	                         a typed error (chaos drill). -listen ADDR mounts
@@ -31,7 +33,7 @@
 //	                         exposition, /healthz, /flightrecorder,
 //	                         /debug/pprof) for the duration of the load and,
 //	                         with -linger D, for D afterwards. SIGINT/SIGTERM
-//	                         stop the load gracefully: in-flight waves drain
+//	                         stop the load gracefully: in-flight requests drain
 //	                         and the -metrics/-trace exports are still
 //	                         written. -reweight FILE hot-swaps the serving
 //	                         index from FILE (same undirected skeleton, new
@@ -45,7 +47,7 @@
 //	                         by weight. -overload runs the adaptive
 //	                         overload-control drill instead of the plain
 //	                         load: the gradient limiter must converge under
-//	                         4x overload with injected wave latency, shed
+//	                         4x overload with injected request latency, shed
 //	                         batch queries must be browned out exactly
 //	                         (never interactive ones), and the rebuild
 //	                         circuit breaker must open under injected
@@ -70,7 +72,7 @@
 //	                         phase= labels on instrumented sections
 //	-log-level L             serve: structured log/slog level on stderr
 //	                         (debug|info|warn|error|off; default info —
-//	                         waves log at debug, failures at warn/error)
+//	                         requests log at debug, failures at warn/error)
 package main
 
 import (
@@ -118,7 +120,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		pprofDir    = fs.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 		clients     = fs.Int("clients", 8, "serve: concurrent client goroutines")
 		requests    = fs.Int("requests", 256, "serve: total SSSP requests across all clients")
-		maxBatch    = fs.Int("maxbatch", 0, "serve: max sources per coalesced wave (0 = default)")
 		inFlight    = fs.Int("inflight", 0, "serve: max admitted requests (0 = default)")
 		seed        = fs.Int64("seed", 1, "serve: source-selection seed")
 		timeout     = fs.Duration("timeout", 0, "serve: queue deadline per request (0 = none)")
@@ -179,7 +180,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	cfg := serveConfig{
 		clients:   *clients,
 		requests:  *requests,
-		maxBatch:  *maxBatch,
 		inFlight:  *inFlight,
 		seed:      *seed,
 		timeout:   *timeout,
@@ -245,7 +245,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// The stats command needs the per-level breakdown, which only an
-	// observed build collects; serve reports the server's wave metrics;
+	// observed build collects; serve reports the server's request metrics;
 	// the export flags need one by definition.
 	var ob *sepsp.Observer
 	if *tracePath != "" || *metricsPath != "" || *pprofDir != "" || cmd == "stats" || cmd == "serve" {
@@ -269,7 +269,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if cmd == "serve" {
 		// SIGINT/SIGTERM end the load gracefully instead of killing the
 		// process: clients stop issuing, queued requests are answered with
-		// cancellation, in-flight waves drain through Server.Close, and —
+		// cancellation, in-flight requests drain through Server.Close, and —
 		// crucially — control returns here so the -metrics/-trace exports
 		// below are still written (a Ctrl-C during a load test must not
 		// lose the run's metrics). A second signal falls back to the

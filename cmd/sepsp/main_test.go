@@ -187,18 +187,18 @@ func TestRunBadArgs(t *testing.T) {
 
 // TestServeCommand drives the serve subcommand's synthetic load end to end
 // on the checked-in 6x6 grid and checks the summary: every request served,
-// none failed, and the wave metrics account for the full load.
+// none failed, and the wave metrics count one size-1 wave per request.
 func TestServeCommand(t *testing.T) {
 	out, errOut, code := runCLI(t,
 		"-graph", "testdata/grid6.txt", "-coords", "testdata/grid6.coords",
-		"serve", "-clients", "4", "-requests", "32", "-maxbatch", "4", "-seed", "3")
+		"serve", "-clients", "4", "-requests", "32", "-seed", "3")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut)
 	}
 	for _, want := range []string{
 		"serve: 32 requests, 4 clients\n",
 		"served=32 faulted=0",
-		"waves=",
+		"waves=32\n",
 		"throughput=",
 	} {
 		if !strings.Contains(out, want) {
@@ -246,13 +246,13 @@ func TestServeChaosBadRate(t *testing.T) {
 }
 
 // TestServeBadFlags checks the serve subcommand surfaces server option
-// validation (negative MaxBatch) as a nonzero exit.
+// validation (negative MaxInFlight) as a nonzero exit.
 func TestServeBadFlags(t *testing.T) {
 	_, errOut, code := runCLI(t,
 		"-graph", "testdata/grid6.txt", "-coords", "testdata/grid6.coords",
-		"serve", "-maxbatch", "-1")
+		"serve", "-inflight", "-1")
 	if code == 0 {
-		t.Fatal("negative -maxbatch accepted")
+		t.Fatal("negative -inflight accepted")
 	}
 	if !strings.Contains(errOut, "invalid options") {
 		t.Fatalf("stderr = %q, want mention of invalid options", errOut)

@@ -66,7 +66,7 @@ func (m priorityMix) draw(rng *rand.Rand) sepsp.Priority {
 // on the real serving path, in three phases:
 //
 //  1. warmup — fault-free traffic settles the limiter's no-load baseline;
-//  2. overload — every wave is stalled by an injected delay while ~4× the
+//  2. overload — every request is stalled by an injected delay while ~4× the
 //     admission ceiling in mixed-priority clients hammers the server: the
 //     gradient limiter must shrink from its wide-open start and stabilize,
 //     shedding engages brownout, and batch/background queries are answered
@@ -101,16 +101,12 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 	if inFlight <= 0 {
 		inFlight = 8
 	}
-	maxBatch := cfg.maxBatch
-	if maxBatch <= 0 {
-		maxBatch = 4
-	}
 	requests := cfg.requests
 	if requests <= 0 {
 		requests = 256
 	}
 	const (
-		waveStall       = 3 * time.Millisecond
+		requestStall    = 3 * time.Millisecond
 		breakerCooldown = 150 * time.Millisecond
 		breakerFailures = 3
 	)
@@ -120,15 +116,15 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 	seeded := faultinject.NewSeeded(faultinject.Config{
 		Seed: cfg.chaosSeed,
 		Sites: map[string]faultinject.SiteConfig{
-			faultinject.SiteServerWave:     {DelayPerMille: 1000, Delay: waveStall},
+			faultinject.SiteServerWave:     {DelayPerMille: 1000, Delay: requestStall},
 			faultinject.SiteManagerRebuild: {PanicPerMille: 1000},
 		},
 	})
-	// The wave stall stays on through warmup AND overload: the limiter's
+	// The request stall stays on through warmup AND overload: the limiter's
 	// baseline then settles at the stall (well above scheduler noise), and
-	// what distinguishes overload is pure queue wait — RTT is measured from
+	// what distinguishes overload is queue wait — RTT is measured from
 	// admission, so 4× the ceiling in arrivals inflates it multiplicatively
-	// over the same per-wave compute.
+	// over the same per-request compute.
 	tog := faultinject.NewToggle(seeded)
 	tog.Disable(faultinject.SiteManagerRebuild)
 
@@ -137,7 +133,6 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 		tel = sepsp.NewTelemetry(nil)
 	}
 	srv, err := sepsp.NewServer(ix, &sepsp.ServerOptions{
-		MaxBatch:     maxBatch,
 		MaxInFlight:  inFlight,
 		QueueTimeout: cfg.timeout,
 		Observer:     ob,
@@ -169,11 +164,17 @@ func runOverloadDrill(ctx context.Context, w io.Writer, ix *sepsp.Index, g *seps
 		fmt.Fprintf(stderr, "telemetry: listening on http://%s\n", ln.Addr())
 	}
 
-	// Phase 1: warmup. Serial fault-free requests settle the no-load RTT
-	// baseline the gradient limiter judges overload against.
+	// Phase 1: warmup. Serial requests settle the no-load RTT baseline the
+	// gradient limiter judges overload against. A scheduler hiccup among
+	// the last of them can leave the limit a step below wide open, so the
+	// warmup runs on (bounded) until the limit is back at the ceiling and
+	// the overload phase always starts from the same state.
 	rng := rand.New(rand.NewSource(cfg.seed))
 	warmed := 0
-	for i := 0; i < inFlight*8 && ctx.Err() == nil; i++ {
+	settled := func(i int) bool {
+		return i >= inFlight*8 && (i >= inFlight*16 || srv.Healthz().EffectiveLimit == inFlight)
+	}
+	for i := 0; !settled(i) && ctx.Err() == nil; i++ {
 		if _, err := srv.SSSP(ctx, rng.Intn(n)); err == nil {
 			warmed++
 		}

@@ -26,7 +26,6 @@ import (
 type serveConfig struct {
 	clients   int           // concurrent client goroutines
 	requests  int           // total SSSP requests issued across all clients
-	maxBatch  int           // Server wave cap (0: default)
 	inFlight  int           // Server admission cap (0: default)
 	seed      int64         // source-selection seed (deterministic load)
 	timeout   time.Duration // Server queue deadline (0: none)
@@ -146,8 +145,8 @@ func buildLogger(w io.Writer, level string) (*slog.Logger, error) {
 }
 
 // runServe drives a synthetic concurrent load through a sepsp.Server on the
-// built index and prints a throughput and batching summary — the load-test
-// harness for the concurrent serving layer. Rejected requests
+// built index and prints a throughput summary — the load-test harness for
+// the concurrent serving layer. Rejected requests
 // (ErrServerOverloaded) are retried with jittered backoff (sepsp.Retry) so
 // every request is eventually decided; the rejection count still shows in
 // the summary. With chaos injection enabled (cfg.chaos > 0) requests may
@@ -156,9 +155,10 @@ func buildLogger(w io.Writer, level string) (*slog.Logger, error) {
 //
 // With cfg.listen set, the live telemetry endpoint (sepsp.Telemetry
 // /metrics, /healthz, /flightrecorder, /debug/pprof) is mounted for the
-// duration of the load plus cfg.linger. Cancelling ctx (SIGINT/SIGTERM in
-// main) stops the load gracefully: clients stop issuing, in-flight waves
-// drain through Server.Close, and runServe returns normally so the
+// duration of the load plus cfg.linger; "serve: load complete" on stderr
+// announces that every client has finished. Cancelling ctx (SIGINT/SIGTERM
+// in main) stops the load gracefully: clients stop issuing, in-flight
+// requests drain through Server.Close, and runServe returns normally so the
 // caller's metric exports still happen.
 func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serveConfig, inj *faultinject.Seeded, ob *sepsp.Observer, stderr io.Writer) int {
 	fail := func(err error) int {
@@ -180,7 +180,6 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 		tel = sepsp.NewTelemetry(nil)
 	}
 	sopt := &sepsp.ServerOptions{
-		MaxBatch:     cfg.maxBatch,
 		MaxInFlight:  cfg.inFlight,
 		QueueTimeout: cfg.timeout,
 		CacheBytes:   int64(cfg.cacheMB) << 20,
@@ -281,8 +280,13 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 	wg.Wait()
 	elapsed := time.Since(start)
 	interrupted := ctx.Err() != nil
+	if !interrupted {
+		// Drills wait for this line before they signal the linger window
+		// away, so the summary always covers the whole load.
+		fmt.Fprintln(stderr, "serve: load complete")
+	}
 	if interrupted && logger != nil {
-		logger.Warn("load interrupted by signal; draining in-flight waves")
+		logger.Warn("load interrupted by signal; draining in-flight requests")
 	}
 	health := srv.Healthz()
 
@@ -318,14 +322,10 @@ func runServe(ctx context.Context, w io.Writer, ix *sepsp.Index, n int, cfg serv
 		return fail(err)
 	}
 
-	waves := ob.CounterValue(obs.MServerWaves)
-	_, _, meanWave := ob.HistogramStats(obs.MServerWaveSize)
-	p50 := ob.HistogramQuantile(obs.MServerWaveSize, 0.5)
-	p99 := ob.HistogramQuantile(obs.MServerWaveSize, 0.99)
 	fmt.Fprintf(w, "serve: %d requests, %d clients\n", cfg.requests, cfg.clients)
 	fmt.Fprintf(w, "served=%d faulted=%d rejected=%d cancelled=%d timedout=%d\n",
 		served.Load(), faulted.Load(), health.Rejected, health.Cancelled, health.TimedOut)
-	fmt.Fprintf(w, "waves=%d meanWave=%.2f p50Wave=%.2f p99Wave=%.2f\n", waves, meanWave, p50, p99)
+	fmt.Fprintf(w, "waves=%d\n", ob.CounterValue(obs.MServerWaves))
 	fmt.Fprintf(w, "elapsed=%s throughput=%.0f req/s\n",
 		elapsed.Round(time.Millisecond), float64(served.Load())/elapsed.Seconds())
 	if interrupted {

@@ -64,28 +64,29 @@ func TestServeCacheDrill(t *testing.T) {
 		return string(body), nil
 	}
 
-	// Scrape until the hot-source load shows cache hits (the -linger window
-	// keeps the endpoint up after the load, so this always settles).
-	var metrics, health string
-	for {
+	// Wait for the load to finish (the -linger window keeps the endpoint
+	// up after it), so the scrape and the summary cover every request and
+	// the SIGINT below cannot cut the load short.
+	for !strings.Contains(stderr.String(), "serve: load complete") {
 		if time.Now().After(deadline) {
-			t.Fatalf("no cache hits became scrapable\nmetrics:\n%s\nhealthz:\n%s", metrics, health)
-		}
-		var err error
-		if metrics, err = get("/metrics"); err != nil {
-			t.Fatalf("/metrics: %v", err)
-		}
-		if health, err = get("/healthz"); err != nil {
-			t.Fatalf("/healthz: %v", err)
-		}
-		var hz map[string]any
-		if err := json.Unmarshal([]byte(health), &hz); err != nil {
-			t.Fatalf("/healthz is not valid JSON: %v\n%s", err, health)
-		}
-		if hits, ok := hz["cache_hits"].(float64); ok && hits > 0 {
-			break
+			t.Fatalf("load never completed within the deadline\nstderr:\n%s", stderr.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	metrics, err := get("/metrics")
+	if err != nil {
+		t.Fatalf("/metrics: %v", err)
+	}
+	health, err := get("/healthz")
+	if err != nil {
+		t.Fatalf("/healthz: %v", err)
+	}
+	var hz map[string]any
+	if err := json.Unmarshal([]byte(health), &hz); err != nil {
+		t.Fatalf("/healthz is not valid JSON: %v\n%s", err, health)
+	}
+	if hits, ok := hz["cache_hits"].(float64); !ok || hits == 0 {
+		t.Fatalf("no cache hits after the hot-source load\nhealthz:\n%s", health)
 	}
 
 	families := parsePrometheus(t, metrics)
@@ -100,10 +101,6 @@ func TestServeCacheDrill(t *testing.T) {
 		if _, ok := families[want]; !ok {
 			t.Errorf("exposition missing family %q", want)
 		}
-	}
-	var hz map[string]any
-	if err := json.Unmarshal([]byte(health), &hz); err != nil {
-		t.Fatal(err)
 	}
 	for _, key := range []string{"cache_hits", "cache_misses", "cache_shared", "cache_evictions", "cache_bytes"} {
 		if _, ok := hz[key]; !ok {

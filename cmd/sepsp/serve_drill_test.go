@@ -181,7 +181,7 @@ func TestServeDrill(t *testing.T) {
 		t.Fatal("serve did not shut down within 20s of SIGINT")
 	}
 	out := stdout.String()
-	for _, want := range []string{"serve: 200 requests, 4 clients", "waves=", "p99Wave=", "chaos: injected panics="} {
+	for _, want := range []string{"serve: 200 requests, 4 clients", "waves=", "chaos: injected panics="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("summary missing %q:\n%s", want, out)
 		}

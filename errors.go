@@ -94,7 +94,7 @@ var (
 
 // PanicError is a panic recovered from the engine or the serving stack,
 // converted into an error: worker goroutines of the PRAM executor and the
-// Server's dispatcher recover panics instead of letting them kill the
+// Server's per-request runner recover panics instead of letting them kill the
 // process, and error-returning entry points surface them as a *PanicError
 // (use errors.As to retrieve the stack). Entry points without an error
 // result re-raise the *PanicError in the caller's goroutine unless a

@@ -6,9 +6,11 @@
 // a circuit breaker for operations that fail repeatedly.
 //
 // Everything here is deliberately clock-free or clock-injectable: the
-// limiter and brownout detector are pure functions of the samples fed to
-// them, and the breaker takes an injectable `now`, so every state
-// transition is unit-testable with a deterministic schedule.
+// limiter's state is a pure function of the samples fed to it, and it
+// reads time only through an injectable clock (LimiterConfig.Now) when a
+// caller stamps a request; the brownout detector is clock-free; and the
+// breaker takes an injectable `now` — so every state transition is
+// unit-testable with a deterministic schedule.
 package admission
 
 import (
@@ -37,6 +39,11 @@ type LimiterConfig struct {
 	// DropBackoff is the multiplicative decrease applied per observed drop
 	// (shed, eviction, or queue timeout), in (0, 1) (default 0.95).
 	DropBackoff float64
+	// Now is the clock callers stamp requests with (Limiter.Now) to measure
+	// the round-trip times they feed to Observe (default time.Now). Tests
+	// inject a virtual clock so measured latency is a function of the
+	// simulated service time, not of the host's scheduling.
+	Now func() time.Time
 }
 
 func (c LimiterConfig) withDefaults() LimiterConfig {
@@ -67,6 +74,9 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	if c.DropBackoff <= 0 || c.DropBackoff >= 1 {
 		c.DropBackoff = 0.95
 	}
+	if c.Now == nil {
+		c.Now = time.Now
+	}
 	return c
 }
 
@@ -80,9 +90,10 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 // immediate multiplicative backoff, so the limiter reacts to refusals even
 // before their latency shows up in a sample.
 //
-// The limiter is a pure function of the Observe/OnDrop call sequence — it
-// never reads a clock — so tests can drive it with a deterministic RTT
-// schedule. All methods are safe for concurrent use.
+// The limit is a pure function of the Observe/OnDrop call sequence, so
+// tests can drive it with a deterministic RTT schedule; callers measure
+// those RTTs on the limiter's own clock (Now), which tests can replace. All
+// methods are safe for concurrent use.
 type Limiter struct {
 	cfg LimiterConfig
 
@@ -100,6 +111,11 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	return &Limiter{cfg: cfg, limit: float64(cfg.Initial)}
 }
 
+// Now reads the limiter's clock (LimiterConfig.Now). Callers stamp a
+// request's admission with it and feed Now().Sub(stamp) to Observe when
+// the request is answered.
+func (l *Limiter) Now() time.Time { return l.cfg.Now() }
+
 // Limit returns the current effective limit, in [Min, Max].
 func (l *Limiter) Limit() int {
 	l.mu.Lock()
@@ -107,11 +123,22 @@ func (l *Limiter) Limit() int {
 	return int(l.limit)
 }
 
-// Observe feeds one measured round-trip time (queue wait + compute for a
-// served request or wave) and recomputes the limit.
-func (l *Limiter) Observe(rtt time.Duration) {
+// Observe feeds one measured round-trip time (queue wait + compute of one
+// served request) and recomputes the limit. It is ObserveShared(rtt, 1):
+// the sample stands for a whole round trip.
+func (l *Limiter) Observe(rtt time.Duration) { l.ObserveShared(rtt, 1) }
+
+// ObserveShared feeds the round-trip time of one of inFlight requests that
+// were being served together when it was answered. Such a window yields
+// about inFlight samples per round trip, so each earns 1/inFlight of the
+// upward probe: the limit grows by the same amount per round trip whether
+// requests are served one at a time or many at once.
+func (l *Limiter) ObserveShared(rtt time.Duration, inFlight int) {
 	if rtt <= 0 {
 		return
+	}
+	if inFlight < 1 {
+		inFlight = 1
 	}
 	s := rtt.Seconds()
 	l.mu.Lock()
@@ -133,7 +160,8 @@ func (l *Limiter) Observe(rtt time.Duration) {
 	}
 	// Gradient step: ratio of tolerated baseline to recent latency, clamped
 	// so one outlier cannot collapse the window. A healthy limiter
-	// (gradient at 1) also earns a sqrt queue allowance to probe upward; a
+	// (gradient at 1) also earns a sqrt queue allowance per round trip to
+	// probe upward, shared among the samples of that round trip; a
 	// congested one must not, or the allowance would hold the limit above
 	// Min forever.
 	gradient := l.cfg.Tolerance * l.longRTT / l.shortRTT
@@ -145,7 +173,7 @@ func (l *Limiter) Observe(rtt time.Duration) {
 	}
 	next := l.limit * gradient
 	if gradient >= 1 {
-		next += math.Sqrt(l.limit)
+		next += math.Sqrt(l.limit) / float64(inFlight)
 	}
 	l.limit += l.cfg.Smoothing * (next - l.limit)
 	l.clampLocked()

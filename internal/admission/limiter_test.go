@@ -122,3 +122,25 @@ func TestLimiterIgnoresNonPositiveRTT(t *testing.T) {
 		t.Fatalf("samples = %d, want 0", got)
 	}
 }
+
+// TestLimiterSharedSamplesProbePerRoundTrip: k samples that each stand for
+// 1/k of a round trip grow the limit by about as much as one whole-round-
+// trip sample, so serving requests concurrently does not make the limiter
+// probe upward k times faster.
+func TestLimiterSharedSamplesProbePerRoundTrip(t *testing.T) {
+	solo := NewLimiter(LimiterConfig{Initial: 16, Min: 2, Max: 256})
+	shared := NewLimiter(LimiterConfig{Initial: 16, Min: 2, Max: 256})
+	for i := 0; i < 10; i++ {
+		solo.Observe(time.Millisecond)
+		for j := 0; j < 8; j++ {
+			shared.ObserveShared(time.Millisecond, 8)
+		}
+	}
+	s, c := solo.Limit(), shared.Limit()
+	if c <= 16 {
+		t.Fatalf("shared samples at the baseline did not grow the limit: %d", c)
+	}
+	if c > s+2 {
+		t.Fatalf("8 shared samples per round trip grew the limit to %d, one sample per round trip to %d", c, s)
+	}
+}

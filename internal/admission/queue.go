@@ -90,8 +90,10 @@ func (c *cqueue[T]) popYoungest() T {
 // the victim is the *youngest* item of the lowest non-empty class, the one
 // that has invested the least waiting time.
 //
-// The queue has one consumer (the server's dispatcher) and many producers.
-// All methods are safe for concurrent use.
+// Items leave either through TryPop, which any goroutine may call (the
+// server's finishing requests hand their slot to the next waiter this
+// way), or through PopWait, which serves a single blocking consumer. All
+// methods are safe for concurrent use.
 type Queue[T any] struct {
 	mu      sync.Mutex
 	classes [NumClasses]cqueue[T]

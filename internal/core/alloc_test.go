@@ -24,20 +24,19 @@ func TestSSSPParallelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSourcesBatchedWaveSteadyStateAllocs pins the wave kernel at a lane
-// count high enough to engage the parallel dispatch path on a sequential
-// executor's threshold check — the interleaved buffer, lane flags, and
-// executor closure are all pooled, leaving the k result rows and their
-// spine.
-func TestSourcesBatchedWaveSteadyStateAllocs(t *testing.T) {
+// TestSourcesSteadyStateAllocs pins the multi-source fan-out: each source
+// runs the pooled single-source kernel, so a call allocates the k result
+// rows plus a constant number of spines, per-source stat cells and the
+// executor closure — nothing proportional to n beyond the rows.
+func TestSourcesSteadyStateAllocs(t *testing.T) {
 	eng, g := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{})
-	srcs := make([]int, batchedParallelMinLanes)
+	srcs := make([]int, 16)
 	for j := range srcs {
 		srcs[j] = (j * 7) % g.N()
 	}
-	eng.SourcesBatched(srcs, nil)
-	budget := float64(len(srcs)) + 2
-	if avg := testing.AllocsPerRun(50, func() { _ = eng.SourcesBatched(srcs, nil) }); avg > budget {
-		t.Fatalf("SourcesBatched allocates %.1f objects per call, want <= %g", avg, budget)
+	eng.Sources(srcs, nil)
+	budget := 2*float64(len(srcs)) + 6
+	if avg := testing.AllocsPerRun(50, func() { _ = eng.Sources(srcs, nil) }); avg > budget {
+		t.Fatalf("Sources allocates %.1f objects per call, want <= %g", avg, budget)
 	}
 }

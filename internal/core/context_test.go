@@ -89,19 +89,18 @@ func TestSSSPContextCompletesEqually(t *testing.T) {
 	}
 }
 
-// TestSourcesBatchedContextCancel checks the batched sweep also honors
-// mid-run cancellation.
-func TestSourcesBatchedContextCancel(t *testing.T) {
+// TestSourcesContextCancel checks the multi-source fan-out honors mid-run
+// cancellation and otherwise answers like solo queries.
+func TestSourcesContextCancel(t *testing.T) {
 	eng := contextTestEngine(t)
-	out, err := eng.SourcesBatchedContext(&countdownCtx{n: 2}, []int{0, 5}, nil)
+	out, err := eng.SourcesContext(&countdownCtx{n: 2}, []int{0, 5}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if out != nil {
 		t.Fatal("got rows on cancellation")
 	}
-	// And the full run matches the unbatched answers.
-	rows, err := eng.SourcesBatchedContext(context.Background(), []int{0, 5}, nil)
+	rows, err := eng.SourcesContext(context.Background(), []int{0, 5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +108,7 @@ func TestSourcesBatchedContextCancel(t *testing.T) {
 		want := eng.SSSP(src, nil)
 		for v := range want {
 			if rows[j][v] != want[v] {
-				t.Fatalf("batched[%d][%d] = %v want %v", j, v, rows[j][v], want[v])
+				t.Fatalf("sources[%d][%d] = %v want %v", j, v, rows[j][v], want[v])
 			}
 		}
 	}

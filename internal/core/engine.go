@@ -73,16 +73,14 @@ type Engine struct {
 }
 
 // queryWS is the reusable per-query scratch handed out by the engine's
-// pool: a flat distance buffer for batched waves, an int queue for
-// tight-tree BFS, the atomic cell buffer for SSSPParallel, and the
-// lane-state + cached executor closures of the batched wave kernel. Only
-// scratch that never escapes a query is pooled — result slices returned to
-// callers are always freshly allocated.
+// pool: an int queue for tight-tree BFS, the atomic cell buffer for
+// SSSPParallel with its cached executor closure, and the sequential
+// executor's convergence-pruning trackers. Only scratch that never escapes
+// a query is pooled — result slices returned to callers are always freshly
+// allocated.
 type queryWS struct {
-	flat  []float64
 	queue []int
 	cells []uint64
-	lanes []bool // backing for the batched kernel's active+changed flags
 
 	// Convergence-pruning scratch of the sequential executor: prevT is
 	// the run-delta tracker (per global run slot, the head distance at the
@@ -92,8 +90,6 @@ type queryWS struct {
 	prevT      []float64
 	blockDirty []bool
 
-	bst batchedState
-	bfn func(lo, hi int) // cached closure over &bst (lane partition body)
 	pst parallelState
 	pfn func(lo, hi int) // cached closure over &pst (run partition body)
 }
@@ -126,39 +122,12 @@ func (ws *queryWS) growBlockDirty(blocks int) []bool {
 	return d
 }
 
-// grow returns a flat float64 buffer of length n, reusing capacity.
-func (ws *queryWS) grow(n int) []float64 {
-	if cap(ws.flat) < n {
-		ws.flat = make([]float64, n)
-	}
-	return ws.flat[:n]
-}
-
 // growCells returns a uint64 cell buffer of length n, reusing capacity.
 func (ws *queryWS) growCells(n int) []uint64 {
 	if cap(ws.cells) < n {
 		ws.cells = make([]uint64, n)
 	}
 	return ws.cells[:n]
-}
-
-// growLanes returns the per-lane active and changed flag slices for a
-// k-lane wave, reusing capacity.
-func (ws *queryWS) growLanes(k int) (active, changed []bool) {
-	if cap(ws.lanes) < 2*k {
-		ws.lanes = make([]bool, 2*k)
-	}
-	l := ws.lanes[:2*k]
-	return l[:k:k], l[k:]
-}
-
-// laneFn returns the cached lane-partition closure for ForChunked — created
-// once per workspace so steady-state waves allocate no closures.
-func (ws *queryWS) laneFn() func(lo, hi int) {
-	if ws.bfn == nil {
-		ws.bfn = func(lo, hi int) { ws.bst.run(lo, hi) }
-	}
-	return ws.bfn
 }
 
 // runFn returns the cached run-partition closure for SSSPParallel.

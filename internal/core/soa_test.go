@@ -50,12 +50,11 @@ func TestSoAArenaMatchesAoSViews(t *testing.T) {
 	}
 }
 
-// TestSourcesBatchedBitIdenticalAcrossExecutors: the lane partition gives
-// every worker a disjoint column range, so a wave's result must be the same
-// bit pattern for every worker count — including k large enough to engage
-// the parallel dispatch — and must equal the solo optimized query and the
-// naive reference relaxer.
-func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
+// TestSourcesBitIdenticalAcrossExecutors: sources are independent, so the
+// multi-source fan-out must produce the same bit pattern and the same
+// counted work for every worker count, and equal the naive reference
+// relaxer.
+func TestSourcesBitIdenticalAcrossExecutors(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	grid := gen.NewGrid([]int{13, 12}, gen.UniformWeights(0.1, 4), rng)
 	g, _ := gen.PotentialShift(grid.G, 6, rng) // negative weights too
@@ -64,8 +63,7 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := 2 * batchedParallelMinLanes
-	srcs := make([]int, k)
+	srcs := make([]int, 32)
 	for j := range srcs {
 		srcs[j] = rng.Intn(g.N())
 	}
@@ -77,7 +75,7 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := &pram.Stats{}
-		rows := eng.SourcesBatched(srcs, st)
+		rows := eng.Sources(srcs, st)
 		if base == nil {
 			base = rows
 			baseWork = st.Work()
@@ -85,7 +83,7 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 				ref := eng.SSSPReference(src, nil)
 				for v := range ref {
 					if rows[j][v] != ref[v] {
-						t.Fatalf("P=1 src=%d v=%d: batched %v != reference %v", src, v, rows[j][v], ref[v])
+						t.Fatalf("P=1 src=%d v=%d: %v != reference %v", src, v, rows[j][v], ref[v])
 					}
 				}
 			}
@@ -104,11 +102,10 @@ func TestSourcesBatchedBitIdenticalAcrossExecutors(t *testing.T) {
 	}
 }
 
-// TestSourcesBatchedPerLanePruningMatchesSolo: per-lane convergence inside
-// a wave must mirror the solo queries exactly — summed executed and skipped
-// cost both reconcile, and a wave of k lanes accounts for exactly k·
-// WorkPerSource in total.
-func TestSourcesBatchedPerLanePruningMatchesSolo(t *testing.T) {
+// TestSourcesPruningMatchesSolo: the fan-out's executed and avoided work
+// must reconcile with the solo queries exactly, and k sources account for
+// exactly k·WorkPerSource in total.
+func TestSourcesPruningMatchesSolo(t *testing.T) {
 	eng, g := buildGridEngine(t, []int{10, 10}, gen.UniformWeights(0.5, 2), 7, Config{})
 	srcs := []int{0, g.N() / 2, g.N() - 1, 17}
 	k := int64(len(srcs))
@@ -117,20 +114,17 @@ func TestSourcesBatchedPerLanePruningMatchesSolo(t *testing.T) {
 	for _, src := range srcs {
 		eng.SSSP(src, solo)
 	}
-	wave := &pram.Stats{}
-	eng.SourcesBatched(srcs, wave)
+	multi := &pram.Stats{}
+	eng.Sources(srcs, multi)
 
-	if wave.Work() != solo.Work() {
-		t.Fatalf("wave executed %d relaxations, solo queries %d", wave.Work(), solo.Work())
+	if multi.Work() != solo.Work() {
+		t.Fatalf("Sources executed %d relaxations, solo queries %d", multi.Work(), solo.Work())
 	}
-	if wave.SkippedWork() != solo.SkippedWork() {
-		t.Fatalf("wave avoided %d relaxations, solo queries %d", wave.SkippedWork(), solo.SkippedWork())
+	if multi.SkippedWork() != solo.SkippedWork() {
+		t.Fatalf("Sources avoided %d relaxations, solo queries %d", multi.SkippedWork(), solo.SkippedWork())
 	}
-	if total := wave.Work() + wave.SkippedWork(); total != k*eng.Schedule().WorkPerSource() {
-		t.Fatalf("wave total %d != k·WorkPerSource %d", total, k*eng.Schedule().WorkPerSource())
-	}
-	if total := wave.Rounds() + wave.SkippedRounds(); total != int64(eng.Schedule().Phases()) {
-		t.Fatalf("wave rounds %d + skipped %d != Phases %d", wave.Rounds(), wave.SkippedRounds(), eng.Schedule().Phases())
+	if total := multi.Work() + multi.SkippedWork(); total != k*eng.Schedule().WorkPerSource() {
+		t.Fatalf("total %d != k·WorkPerSource %d", total, k*eng.Schedule().WorkPerSource())
 	}
 }
 

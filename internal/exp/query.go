@@ -5,6 +5,8 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sepsp/internal/core"
@@ -19,11 +21,16 @@ import (
 // performance"); the gate demands only a machine-independent floor.
 const querySpeedupFloor = 1.3
 
-// waveScalingFloor is the E-query-wave gate: a k=32 lane-parallel wave on
-// P=4 workers must beat the same wave on P=1 — the lane partition must buy
-// real scaling, not just not lose. Skipped on single-CPU runners where no
-// scaling is physically possible.
-const waveScalingFloor = 1.05
+// callerScalingFloor is the E-query-callers gate: GOMAXPROCS goroutines
+// each running single-source queries — how sepsp.Server serves concurrent
+// misses, one kernel per request on its caller's goroutine — must answer a
+// fixed set of sources at least this much faster than one goroutine.
+// Skipped on runners with fewer than 2 CPUs, where no cross-request
+// parallelism is physically possible.
+const callerScalingFloor = 1.3
+
+// callerSources is the fixed source set the cross-request table answers.
+const callerSources = 64
 
 // timeQuery reports the best per-call wall clock of run over kernelReps
 // batches of kernelBatch calls (one warmup call first, mirroring the
@@ -53,10 +60,11 @@ func timeQuery(run func()) (time.Duration, int64) {
 // QueryExperiment (E-query) measures the query path end to end: the
 // optimized single-source executor (SoA phase arena, per-run head caching,
 // ℓ-block convergence pruning) against the retained naive reference relaxer
-// on the same schedule, and the lane-parallel batched wave's scaling across
-// worker counts. Executed and avoided work are counted-model quantities —
-// deterministic, so the gate pins them exactly; wall clock and speedup are
-// the machine-local perf baseline BENCH_query.json records.
+// on the same schedule, and the cross-request throughput of that executor
+// when GOMAXPROCS callers run it concurrently. Executed and avoided work
+// are counted-model quantities — deterministic, so the gate pins them
+// exactly; wall clock and speedup are the machine-local perf baseline
+// BENCH_query.json records.
 func QueryExperiment(scale int) (*Result, error) {
 	if scale < 1 {
 		scale = 1
@@ -96,43 +104,78 @@ func QueryExperiment(scale int) (*Result, error) {
 	}
 	qt.Notes = append(qt.Notes, fmt.Sprintf("largest n this run: %d (speedup floor applies there)", largestN))
 
-	const waveK = 32
-	wt := &Table{
-		ID:     "E-query-wave",
-		Title:  fmt.Sprintf("Batched wave: lane-parallel scaling, k=%d lanes", waveK),
-		Header: []string{"n", "k", "P", "time/wave", "work", "speedup"},
-		Notes: []string{
-			fmt.Sprintf("gate: counted work exact vs baseline and independent of P; P=4 speedup >= %.2f (skipped on <2-CPU runners)", waveScalingFloor),
-		},
-	}
-	wl, err := MuWorkload(0.5, 4096*scale, 23)
+	ct, err := callerTable(4096 * scale)
 	if err != nil {
 		return nil, err
 	}
-	srcs := make([]int, waveK)
+	return &Result{Tables: []*Table{qt, ct}}, nil
+}
+
+// callerTable (E-query-callers) answers callerSources sources on one
+// sequential engine twice — from one goroutine, then split across
+// GOMAXPROCS goroutines pulling sources from a shared counter — and reports
+// the wall clock per source and the summed counted work of each run.
+func callerTable(n int) (*Table, error) {
+	procs := runtime.GOMAXPROCS(0)
+	t := &Table{
+		ID:     "E-query-callers",
+		Title:  fmt.Sprintf("Cross-request throughput: concurrent callers of the single-source query, %d sources", callerSources),
+		Header: []string{"n", "callers", "P", "time/source", "work", "speedup"},
+		Notes: []string{
+			fmt.Sprintf("each caller runs whole queries, as sepsp.Server does per request; gate: counted work exact vs baseline and equal across rows; GOMAXPROCS speedup >= %.2f (skipped on <2-CPU runners)", callerScalingFloor),
+		},
+	}
+	wl, err := MuWorkload(0.5, n, 23)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{Ex: pram.Sequential})
+	if err != nil {
+		return nil, err
+	}
+	srcs := make([]int, callerSources)
 	for j := range srcs {
 		srcs[j] = (j * 37) % wl.G.N()
 	}
 	var t1 time.Duration
-	for _, p := range []int{1, 4} {
-		eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{Ex: pram.NewExecutor(p)})
-		if err != nil {
-			return nil, err
-		}
+	for _, row := range []struct {
+		label   string
+		callers int
+	}{{"one", 1}, {"GOMAXPROCS", procs}} {
 		st := &pram.Stats{}
-		eng.SourcesBatched(srcs, st)
-		tW, _ := timeQuery(func() { eng.SourcesBatched(srcs, nil) })
+		answerConcurrently(eng, srcs, row.callers, st)
+		tc, _ := timeQuery(func() { answerConcurrently(eng, srcs, row.callers, nil) })
 		sp := "-"
-		if p == 1 {
-			t1 = tW
+		if row.callers == 1 {
+			t1 = tc
 		} else {
-			sp = fmt.Sprintf("%.2f", t1.Seconds()/tW.Seconds())
+			sp = fmt.Sprintf("%.2f", t1.Seconds()/tc.Seconds())
 		}
-		wt.Rows = append(wt.Rows, []string{
-			d(int64(wl.G.N())), d(waveK), d(int64(p)), tW.String(), d(st.Work()), sp,
+		t.Rows = append(t.Rows, []string{
+			d(int64(wl.G.N())), row.label, d(int64(row.callers)),
+			(tc / callerSources).String(), d(st.Work()), sp,
 		})
 	}
-	return &Result{Tables: []*Table{qt, wt}}, nil
+	return t, nil
+}
+
+// answerConcurrently runs one single-source query per source, split across
+// callers goroutines that pull sources from a shared counter — the way
+// sepsp.Server's concurrent requests share the machine — and returns when
+// every source is answered. st (nil to skip) receives the summed work.
+func answerConcurrently(eng *core.Engine, srcs []int, callers int, st *pram.Stats) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(srcs)); i = next.Add(1) - 1 {
+				eng.SSSP(srcs[i], st)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // GateQuery compares a fresh E-query run against a recorded baseline
@@ -142,14 +185,14 @@ func QueryExperiment(scale int) (*Result, error) {
 //   - executed and avoided work must match the baseline exactly, row by
 //     row — both halves of the pruning split are deterministic counted
 //     quantities, so any drift means the executors changed semantics;
-//   - wave work must additionally be independent of P (the lane partition
-//     never changes what is computed, only who computes it);
+//   - the cross-request rows' work must additionally be equal (splitting
+//     sources across callers never changes what is computed);
 //   - the optimized query must hold the speedup floor over the reference
 //     relaxer at the largest n on the current machine;
 //   - steady-state query allocations may not regress past the tolerance —
 //     the pooled workspaces pin them to O(1) per call;
-//   - the P=4 wave must scale past the floor, unless the runner cannot
-//     physically scale (<2 CPUs).
+//   - GOMAXPROCS concurrent callers must scale past the floor, unless the
+//     runner cannot physically scale (<2 CPUs).
 //
 // Wall-clock columns are recorded for humans and deliberately not gated.
 func GateQuery(curr, base *Result) []string {
@@ -181,28 +224,24 @@ func GateQuery(curr, base *Result) []string {
 		bad = append(bad, fmt.Sprintf("sssp n=%.0f optimized speedup %s below floor %.2f", bestN, bestSpeedup, querySpeedupFloor))
 	}
 
-	cw, bw := tableByID(curr, "E-query-wave"), tableByID(base, "E-query-wave")
-	if cw == nil || bw == nil {
-		return append(bad, "wave table missing from current run or baseline")
+	cc, bc := tableByID(curr, "E-query-callers"), tableByID(base, "E-query-callers")
+	if cc == nil || bc == nil {
+		return append(bad, "callers table missing from current run or baseline")
 	}
-	bad = append(bad, matchColumn(cw, bw, 3, "work", exactMatch)...)
-	wCol := colIndex(cw, "work")
-	byNK := map[string]string{}
-	for _, row := range cw.Rows {
-		key := rowKey(row, 2)
-		if prev, ok := byNK[key]; ok && prev != row[wCol] {
-			bad = append(bad, fmt.Sprintf("wave [%s] work differs across P: %s vs %s", key, prev, row[wCol]))
+	bad = append(bad, matchColumn(cc, bc, 2, "work", exactMatch)...)
+	wCol, pIdx, spIdx := colIndex(cc, "work"), colIndex(cc, "P"), colIndex(cc, "speedup")
+	for _, row := range cc.Rows {
+		if row[wCol] != cc.Rows[0][wCol] {
+			bad = append(bad, fmt.Sprintf("callers [%s] work %s differs from one caller's %s", rowKey(row, 2), row[wCol], cc.Rows[0][wCol]))
 		}
-		byNK[key] = row[wCol]
 	}
 	if runtime.NumCPU() >= 2 {
-		pIdx, spIdx := colIndex(cw, "P"), colIndex(cw, "speedup")
-		for _, row := range cw.Rows {
-			if row[pIdx] != "4" {
+		for _, row := range cc.Rows {
+			if row[pIdx] == "1" || row[spIdx] == "-" {
 				continue
 			}
-			if s, err := strconv.ParseFloat(row[spIdx], 64); err != nil || s < waveScalingFloor {
-				bad = append(bad, fmt.Sprintf("wave P=4 speedup %s below floor %.2f", row[spIdx], waveScalingFloor))
+			if s, err := strconv.ParseFloat(row[spIdx], 64); err != nil || s < callerScalingFloor {
+				bad = append(bad, fmt.Sprintf("callers P=%s speedup %s below floor %.2f", row[pIdx], row[spIdx], callerScalingFloor))
 			}
 		}
 	}

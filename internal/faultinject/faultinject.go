@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic, seed-driven fault-injection
 // harness for the serving stack. Instrumented layers (the pram executor's
 // worker boundaries, the engine's Bellman-Ford phase boundaries, the
-// server's wave dispatcher) call Fire at named sites; the injector decides —
+// server's per-request boundary) call Fire at named sites; the injector decides —
 // purely as a function of (seed, site, per-site call sequence) — whether to
 // inject a panic, a delay, or to signal that the call site should cancel a
 // context.
@@ -55,7 +55,8 @@ const (
 	SitePramWorker = "pram.worker"
 	// SiteQueryPhase fires between Bellman-Ford phases of a query.
 	SiteQueryPhase = "core.phase"
-	// SiteServerWave fires before the server dispatcher serves a wave.
+	// SiteServerWave fires once per served request, on the requester's
+	// goroutine inside its serving slot, just before the query runs.
 	SiteServerWave = "server.wave"
 	// SiteManagerRebuild fires at the start of a Manager reweighting
 	// rebuild — an injected panic there must latch the rebuild-failure

@@ -1,7 +1,7 @@
 // Package live is the serving-time half of the observability layer: metric
 // primitives designed for per-query hot-path updates under heavy
 // concurrency, plus a Prometheus text exposition writer, so operators can
-// watch queue depth, wave batching, fallback engagement, and tail latency
+// watch queue depth, admission, fallback engagement, and tail latency
 // while the server is live (the offline sibling, internal/obs, snapshots
 // after a run finishes).
 //
@@ -125,20 +125,28 @@ const (
 )
 
 // Histogram accumulates observations into log2-spaced buckets with one
-// atomic add per bucket, plus an atomic count and CAS-accumulated sum —
-// no lock anywhere on the observe path. Quantiles are estimated from the
-// bucket counts at scrape time; the estimate is exact at bucket boundaries
-// and off by at most one power-of-two bucket width inside one, which is
-// the right trade for latency telemetry (a p99 of "1.6ms, somewhere in
-// (1ms, 2ms]" is as actionable as an exact order statistic, and the
-// observe path stays wait-free).
+// atomic add per bucket, plus an atomic count, a CAS-accumulated sum and
+// CAS-tracked minimum and maximum — no lock anywhere on the observe path.
+// Quantiles are estimated from the bucket counts at scrape time and
+// clamped to the observed range; the estimate is exact at bucket
+// boundaries and off by at most one power-of-two bucket width inside one,
+// which is the right trade for latency telemetry (a p99 of "1.6ms,
+// somewhere in (1ms, 2ms]" is as actionable as an exact order statistic,
+// and the observe path stays wait-free).
 type Histogram struct {
 	count   atomic.Int64
 	sumBits atomic.Uint64
+	minBits atomic.Uint64 // +Inf until the first observation
+	maxBits atomic.Uint64 // -Inf until the first observation
 	buckets [histBuckets]atomic.Int64
 }
 
-func newHistogram() *Histogram { return &Histogram{} }
+func newHistogram() *Histogram {
+	h := &Histogram{}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
+}
 
 // bucketIndex maps v to its bucket: the index of the smallest bound ≥ v,
 // computed from the floating-point exponent instead of a bounds search.
@@ -171,6 +179,18 @@ func (h *Histogram) Observe(v float64) {
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			break
+		}
+	}
+	for {
+		old := h.minBits.Load()
+		if v >= math.Float64frombits(old) || h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
+	}
+	for {
+		old := h.maxBits.Load()
+		if v <= math.Float64frombits(old) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
@@ -196,6 +216,13 @@ func (h *Histogram) Snapshot() obs.HistogramSnapshot {
 	s.Counts = counts
 	s.Count = total
 	s.Sum = math.Float64frombits(h.sumBits.Load())
+	// Like the sum, the range may lag the buckets by the in-flight
+	// observations; before the first range update it is unset and the
+	// snapshot is estimated from the buckets alone.
+	lo, hi := math.Float64frombits(h.minBits.Load()), math.Float64frombits(h.maxBits.Load())
+	if lo <= hi {
+		s.Min, s.Max, s.Ranged = lo, hi, true
+	}
 	return s
 }
 

@@ -346,3 +346,37 @@ func TestRegistryCollisionPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestHistogramQuantileClampedToObservedRange: the live histogram's
+// estimates stay inside the observed range, so a constant latency is
+// reported exactly at every quantile instead of somewhere in its log2
+// bucket.
+func TestHistogramQuantileClampedToObservedRange(t *testing.T) {
+	for _, v := range []float64{1, 0.0013, 3} {
+		h := newHistogram()
+		for i := 0; i < 500; i++ {
+			h.Observe(v)
+		}
+		for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+			if got := h.Quantile(q); got != v {
+				t.Errorf("constant %g: p%g = %g, want %g", v, q*100, got, v)
+			}
+		}
+	}
+	h := newHistogram()
+	for i := 1; i <= 1000; i++ {
+		h.Observe(float64(i) / 1000)
+	}
+	if got := h.Quantile(0.0001); got < 0.001 {
+		t.Errorf("p0.01 = %g, below the smallest observation 0.001", got)
+	}
+	if got := h.Quantile(1); got > 1 {
+		t.Errorf("p100 = %g, above the largest observation 1", got)
+	}
+	if h.Snapshot().Ranged != true {
+		t.Error("snapshot of a recording histogram carries no range")
+	}
+	if s := newHistogram().Snapshot(); s.Ranged || s.Quantile(0.5) != 0 {
+		t.Errorf("empty histogram: ranged=%v p50=%g, want unranged 0", s.Ranged, s.Quantile(0.5))
+	}
+}

@@ -12,7 +12,7 @@ type Kind uint8
 const (
 	// KindQuery is a query that completed successfully.
 	KindQuery Kind = iota
-	// KindWave is one executed coalesced wave.
+	// KindWave is one served request's wave record (size 1).
 	KindWave
 	// KindFailure is a query that ended in anything but success (shed,
 	// timeout, cancellation, panic, typed error).
@@ -62,7 +62,7 @@ const (
 	OutcomeShed
 	// OutcomeCancelled: the caller's context ended first.
 	OutcomeCancelled
-	// OutcomePanic: the serving wave panicked and was recovered.
+	// OutcomePanic: serving the request panicked and was recovered.
 	OutcomePanic
 	// OutcomeError: any other typed serving error.
 	OutcomeError
@@ -109,13 +109,13 @@ type Event struct {
 	Outcome Outcome `json:"outcome"`
 	// Source is the query's source vertex (-1 for wave events).
 	Source int32 `json:"source"`
-	// Wave is the id of the wave that served the event (0: never reached a
-	// wave — shed at admission or dead on arrival).
+	// Wave is the id of the served request the event belongs to (0: never
+	// served — shed at admission or dead while queued).
 	Wave int64 `json:"wave"`
-	// Batch is the number of live requests in the wave.
+	// Batch is the number of requests in the wave: 1 for a served request.
 	Batch int32 `json:"batch"`
 	// QueueNanos and ComputeNanos decompose the latency into time spent
-	// queued (admission → wave start) and the wave's shared compute time.
+	// queued (admission → serving slot) and the request's own compute time.
 	QueueNanos   int64 `json:"queue_ns"`
 	ComputeNanos int64 `json:"compute_ns"`
 	// Epoch is the serving epoch the event belongs to: the epoch whose

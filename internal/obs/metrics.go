@@ -132,13 +132,15 @@ func (g *Gauge) Value() float64 {
 // count distributions the engine records.
 var DefaultBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
 
-// Histogram accumulates observations into cumulative ≤-bound buckets.
+// Histogram accumulates observations into cumulative ≤-bound buckets and
+// tracks the observed range.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []int64 // counts[i]: observations ≤ bounds[i]; counts[len(bounds)]: overflow
-	sum    float64
-	n      int64
+	mu       sync.Mutex
+	bounds   []float64
+	counts   []int64 // counts[i]: observations ≤ bounds[i]; counts[len(bounds)]: overflow
+	sum      float64
+	n        int64
+	min, max float64 // valid once n > 0
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -154,16 +156,28 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i]++
 	h.sum += v
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
 	h.n++
 	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a histogram's frozen state.
+// HistogramSnapshot is a histogram's frozen state. Min and Max are the
+// smallest and largest observation when Ranged is set (the recording
+// histograms always set it); a snapshot built without them — by hand, or
+// decoded from an older export — is estimated from the buckets alone.
 type HistogramSnapshot struct {
 	Count  int64     `json:"count"`
 	Sum    float64   `json:"sum"`
 	Bounds []float64 `json:"bounds"`
 	Counts []int64   `json:"counts"` // parallel to Bounds, plus one overflow bucket
+	Min    float64   `json:"min,omitempty"`
+	Max    float64   `json:"max,omitempty"`
+	Ranged bool      `json:"ranged,omitempty"`
 }
 
 // Mean returns the observation mean (0 when empty).
@@ -178,11 +192,23 @@ func (h HistogramSnapshot) Mean() float64 {
 // distribution: the owning bucket is located by rank and the estimate
 // interpolates linearly between the bucket's lower and upper bound — the
 // standard bucketed-histogram estimator, shared by the offline snapshots
-// here and the live serving histograms (internal/obs/live). Estimates are
-// exact at bucket boundaries and off by at most one bucket width inside a
-// bucket; observations past the last bound are clamped to it. Returns 0
-// when the histogram is empty.
+// here and the live serving histograms (internal/obs/live) — then clamped
+// to the observed range [Min, Max] when the snapshot carries it. The
+// estimate therefore always lies inside the observed range (a constant
+// distribution returns the constant), is exact at bucket boundaries, and
+// is off by at most one bucket width inside a bucket. Without a range,
+// observations past the last bound are clamped to it. Returns 0 when the
+// histogram is empty.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
+	v := h.bucketQuantile(q)
+	if h.Ranged && h.Count > 0 {
+		v = math.Min(math.Max(v, h.Min), h.Max)
+	}
+	return v
+}
+
+// bucketQuantile is Quantile's bucket estimate before range clamping.
+func (h HistogramSnapshot) bucketQuantile(q float64) float64 {
 	if h.Count <= 0 || len(h.Bounds) == 0 {
 		return 0
 	}
@@ -264,6 +290,9 @@ func (r *Registry) Snapshot() Snapshot {
 			Sum:    h.sum,
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: append([]int64(nil), h.counts...),
+			Min:    h.min,
+			Max:    h.max,
+			Ranged: h.n > 0,
 		}
 		h.mu.Unlock()
 	}

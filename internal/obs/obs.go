@@ -107,14 +107,14 @@ const (
 	MExecWorkers        = "exec.workers"   // executor pool size
 
 	// Server (concurrent query serving) series.
-	MServerQueueDepth = "server.queue.depth" // gauge: requests waiting for a wave
-	MServerWaveSize   = "server.wave.size"   // histogram: sources per executed wave
-	MServerWaves      = "server.waves"       // counter: executed waves
+	MServerQueueDepth = "server.queue.depth" // gauge: requests waiting for a serving slot
+	MServerWaveSize   = "server.wave.size"   // histogram: requests per served wave (always 1)
+	MServerWaves      = "server.waves"       // counter: served requests, one wave each
 	MServerRequests   = "server.requests"    // counter: admitted requests
 	MServerRejected   = "server.rejected"    // counter: requests refused at admission
-	MServerCancelled  = "server.cancelled"   // counter: requests cancelled before their wave
+	MServerCancelled  = "server.cancelled"   // counter: admitted requests cancelled before their answer
 	MServerTimedOut   = "server.timedout"    // counter: requests that exceeded QueueTimeout
-	MServerPanics     = "server.panics"      // counter: panics recovered by the dispatcher
+	MServerPanics     = "server.panics"      // counter: panics recovered while serving
 
 	// Graceful-degradation (baseline fallback) series.
 	MFallbackEngaged = "fallback.engaged" // counter: degradation causes observed

@@ -276,3 +276,60 @@ func TestLog2Bounds(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramQuantileClampedToObservedRange: every estimate lies inside
+// [min, max] of what was observed, so a constant distribution returns the
+// constant exactly and no quantile can fall below the smallest or above
+// the largest observation.
+func TestHistogramQuantileClampedToObservedRange(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		obs    []float64
+		q      float64
+		lo, hi float64 // the estimate must land in [lo, hi]
+	}{
+		{"constant 1 p50", repeat(1, 1000), 0.5, 1, 1},
+		{"constant 1 p99", repeat(1, 1000), 0.99, 1, 1},
+		{"constant 3.7 p0", repeat(3.7, 10), 0, 3.7, 3.7},
+		{"constant 3.7 p100", repeat(3.7, 10), 1, 3.7, 3.7},
+		{"constant 0 p50", repeat(0, 10), 0.5, 0, 0},
+		{"overflow constant p99", repeat(1e6, 5), 0.99, 1e6, 1e6},
+		// 1..100 in powers-of-four buckets: p50 stays in the true order
+		// statistic's bucket (16, 64], p1 cannot undershoot the minimum,
+		// p100 cannot overshoot the maximum.
+		{"uniform p50", seq(1, 100), 0.5, 16, 64},
+		{"uniform p1", seq(1, 100), 0.01, 1, 1},
+		{"uniform p100", seq(1, 100), 1, 64, 100},
+		// Two point masses at 5 and 50: the low half sits in (4, 16],
+		// clamped from below to 5; the high half in (16, 64], clamped
+		// from above to 50.
+		{"bimodal p25", append(repeat(5, 50), repeat(50, 50)...), 0.25, 5, 16},
+		{"bimodal p99", append(repeat(5, 50), repeat(50, 50)...), 0.99, 16, 50},
+	} {
+		reg := NewRegistry()
+		h := reg.Histogram("h")
+		for _, v := range tc.obs {
+			h.Observe(v)
+		}
+		got := reg.Snapshot().Histograms["h"].Quantile(tc.q)
+		if got < tc.lo || got > tc.hi {
+			t.Errorf("%s: Quantile(%g) = %g, want in [%g, %g]", tc.name, tc.q, got, tc.lo, tc.hi)
+		}
+	}
+}
+
+func repeat(v float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+func seq(lo, hi int) []float64 {
+	var out []float64
+	for v := lo; v <= hi; v++ {
+		out = append(out, float64(v))
+	}
+	return out
+}

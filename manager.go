@@ -92,7 +92,7 @@ type ManagerOptions struct {
 }
 
 // epochIndex pairs one *Index with its generation tag and the count of
-// references pinning it (in-flight serving waves, plus one base reference
+// references pinning it (in-flight serving requests, plus one base reference
 // held while the epoch is current). It is the unit the manager RCU-swaps.
 type epochIndex struct {
 	ix *Index
@@ -103,7 +103,7 @@ type epochIndex struct {
 	refs atomic.Int64
 }
 
-// acquire pins the epoch for one wave. It fails — returning false — only
+// acquire pins the epoch for one request. It fails — returning false — only
 // when the epoch has fully drained (refs hit 0), which cannot happen to
 // the manager's current epoch because the base reference keeps refs ≥ 1.
 func (e *epochIndex) acquire() bool {
@@ -128,9 +128,9 @@ func (e *epochIndex) acquire() bool {
 // update (same roads, new weights) reruns only the E+ construction — in
 // the background, on the serving executor, while the old epoch keeps
 // answering queries. When the rebuild finishes, the new index is stamped
-// with the next epoch and swapped in atomically: new waves route to it
-// immediately, in-flight waves drain on the old epoch, and the old epoch
-// is released only when its last wave completes.
+// with the next epoch and swapped in atomically: new requests route to it
+// immediately, in-flight requests drain on the old epoch, and the old epoch
+// is released only when its last request completes.
 //
 // Failure semantics reuse the degradation ladder: a rebuild that fails or
 // panics latches a failure counter, surfaces ErrRebuildFailed to the
@@ -139,7 +139,7 @@ func (e *epochIndex) acquire() bool {
 type Manager struct {
 	cur atomic.Pointer[epochIndex]
 
-	tel    atomic.Pointer[Telemetry]      // settable post-construction (Server attach)
+	tel    atomic.Pointer[Telemetry]       // settable post-construction (Server attach)
 	cache  atomic.Pointer[distcache.Cache] // result cache whose generation tracks swaps
 	logger *slog.Logger
 	inj    faultinject.Injector
@@ -147,7 +147,7 @@ type Manager struct {
 	rebuilding atomic.Bool  // single-flight latch
 	swaps      atomic.Int64 // completed hot-swaps
 	failures   atomic.Int64 // latched failed/panicked rebuilds
-	draining   atomic.Int64 // retired epochs whose waves have not finished
+	draining   atomic.Int64 // retired epochs whose requests have not finished
 
 	breaker *admission.Breaker // rebuild circuit breaker; nil when disabled
 }
@@ -216,7 +216,7 @@ func (m *Manager) Swaps() int64 { return m.swaps.Load() }
 // the then-current epoch serving).
 func (m *Manager) RebuildFailures() int64 { return m.failures.Load() }
 
-// Draining returns how many retired epochs still have in-flight waves.
+// Draining returns how many retired epochs still have in-flight requests.
 func (m *Manager) Draining() int64 { return m.draining.Load() }
 
 // BreakerState returns the rebuild circuit breaker's current state.
@@ -234,15 +234,21 @@ func (m *Manager) BreakerState() BreakerState {
 // never observes its index's backing epoch released mid-query. release is
 // idempotent-unsafe: call it exactly once.
 func (m *Manager) Acquire() (*Index, uint64, func()) {
+	e := m.pin()
+	return e.ix, e.id, func() { m.release(e) }
+}
+
+// pin is Acquire without the release closure, for the per-request serving
+// path; the caller hands the result to release.
+func (m *Manager) pin() *epochIndex {
 	for {
 		e := m.cur.Load()
-		if !e.acquire() {
-			// The pointer was stale and that epoch fully drained between
-			// the load and the acquire; the current epoch's base reference
-			// guarantees progress on retry.
-			continue
+		if e.acquire() {
+			return e
 		}
-		return e.ix, e.id, func() { m.release(e) }
+		// The pointer was stale and that epoch fully drained between the
+		// load and the acquire; the current epoch's base reference
+		// guarantees progress on retry.
 	}
 }
 
@@ -358,7 +364,7 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 	m.draining.Add(1) // the old epoch starts draining at the swap below
 	m.cur.Store(e)
 	m.swaps.Add(1)
-	m.release(old) // drop the base reference; drained once waves finish
+	m.release(old) // drop the base reference; drained once requests finish
 	if tel != nil {
 		tel.recordRebuild(next, elapsed, true)
 	}

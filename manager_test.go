@@ -218,7 +218,7 @@ func TestServerReweightUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 8})
+	srv, err := NewServer(ix, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -731,9 +731,18 @@ func (ix *Index) SSSP(src int) []float64 {
 // Bellman-Ford phases, so a cancelled or expired context returns
 // (nil, ctx.Err()) within one phase of relaxation work.
 func (ix *Index) SSSPContext(ctx context.Context, src int) ([]float64, error) {
+	return ix.ssspStats(ctx, src, nil)
+}
+
+// ssspStats is SSSPContext with an optional PRAM cost collector: st (nil
+// to skip) receives the query's executed and convergence-pruned work so
+// serving telemetry can surface the pruning rate. A query answered by the
+// baseline fallback records nothing — the fallback has no schedule to
+// prune.
+func (ix *Index) ssspStats(ctx context.Context, src int, st *pram.Stats) ([]float64, error) {
 	if ix.primary() {
 		dist, err := runGuarded("sssp", func() ([]float64, error) {
-			return ix.eng.SSSPContext(ctx, src, nil)
+			return ix.eng.SSSPContext(ctx, src, st)
 		})
 		if err == nil || !ix.fallbackFor(err) {
 			return dist, err
@@ -758,42 +767,6 @@ func (ix *Index) SourcesContext(ctx context.Context, srcs []int) ([][]float64, e
 	if ix.primary() {
 		rows, err := runGuarded("sources", func() ([][]float64, error) {
 			return ix.eng.SourcesContext(ctx, srcs, nil)
-		})
-		if err == nil || !ix.fallbackFor(err) {
-			return rows, err
-		}
-	}
-	return ix.fb.sources(ctx, srcs)
-}
-
-// SourcesBatched computes SSSP from many sources with one shared edge sweep
-// per phase (cache-friendly for moderate batch sizes); results equal
-// Sources.
-//
-// Deprecated: use SourcesBatchedContext — the context-taking methods are
-// the canonical query surface; SourcesBatched is a thin
-// context.Background() wrapper kept for existing callers.
-func (ix *Index) SourcesBatched(srcs []int) [][]float64 {
-	return mustQuery(ix.SourcesBatchedContext(context.Background(), srcs))
-}
-
-// SourcesBatchedContext computes SSSP from many sources with one shared
-// edge sweep per phase (cache-friendly for moderate batch sizes) and
-// cooperative cancellation (ctx polled between the shared phase sweeps);
-// results equal SourcesContext.
-func (ix *Index) SourcesBatchedContext(ctx context.Context, srcs []int) ([][]float64, error) {
-	return ix.sourcesBatchedStats(ctx, srcs, nil)
-}
-
-// sourcesBatchedStats is SourcesBatchedContext with an optional PRAM cost
-// collector: st (nil to skip) receives the wave's executed and
-// convergence-pruned work so serving telemetry can surface the pruning
-// rate. Queries degraded to the baseline fallback record nothing — the
-// fallback has no schedule to prune.
-func (ix *Index) sourcesBatchedStats(ctx context.Context, srcs []int, st *pram.Stats) ([][]float64, error) {
-	if ix.primary() {
-		rows, err := runGuarded("sources", func() ([][]float64, error) {
-			return ix.eng.SourcesBatchedContext(ctx, srcs, st)
 		})
 		if err == nil || !ix.fallbackFor(err) {
 			return rows, err

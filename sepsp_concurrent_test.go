@@ -166,9 +166,6 @@ func TestSSSPContextCancelled(t *testing.T) {
 	if _, err := ix.SourcesContext(ctx, []int{0, 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SourcesContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	if _, err := ix.SourcesBatchedContext(ctx, []int{0, 1}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SourcesBatchedContext on cancelled ctx: err = %v, want context.Canceled", err)
-	}
 	if _, err := ix.DistToContext(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("DistToContext on cancelled ctx: err = %v, want context.Canceled", err)
 	}

@@ -145,8 +145,8 @@ func TestFuzzDelaunayWithRotations(t *testing.T) {
 }
 
 // TestFuzzOptimizedQueryBitIdentical cross-checks the optimized query
-// executors (SoA sequential with convergence pruning, lane-parallel
-// batched waves) against the retained naive reference relaxer: on the
+// executor (SoA sequential with convergence pruning, solo and fanned out
+// over sources) against the retained naive reference relaxer: on the
 // same schedule the distances must be bit-identical, not merely close —
 // the arena rematerializes the exact relaxation order the reference
 // walks. Inputs include negative weights (potential-shifted grids) and
@@ -228,22 +228,18 @@ func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
 			}
 		}
 
-		// Batched wave: every lane bit-identical to the reference; lane
-		// counts straddle the parallel-dispatch threshold.
-		k := 3 + rng.Intn(6)
-		if rng.Intn(3) == 0 {
-			k = batchedFuzzLanes + rng.Intn(4)
-		}
-		srcs := make([]int, k)
+		// Multi-source fan-out: every row bit-identical to the reference,
+		// whichever worker ran it.
+		srcs := make([]int, 3+rng.Intn(14))
 		for j := range srcs {
 			srcs[j] = rng.Intn(ref.N())
 		}
-		rows := eng.SourcesBatched(srcs, nil)
+		rows := eng.Sources(srcs, nil)
 		for j, src := range srcs {
 			want := eng.SSSPReference(src, nil)
 			for v := range want {
 				if rows[j][v] != want[v] {
-					t.Errorf("seed=%d wave k=%d src=%d v=%d: batched %v != reference %v (bitwise)", seed, k, src, v, rows[j][v], want[v])
+					t.Errorf("seed=%d sources k=%d src=%d v=%d: %v != reference %v (bitwise)", seed, len(srcs), src, v, rows[j][v], want[v])
 					return false
 				}
 			}
@@ -254,11 +250,6 @@ func TestFuzzOptimizedQueryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// batchedFuzzLanes mirrors core's parallel-dispatch lane threshold so the
-// fuzz wave sizes exercise both sides of it (the constant is unexported
-// there; a drift would only soften coverage, never correctness).
-const batchedFuzzLanes = 16
 
 func TestFuzzOracleAgainstEngine(t *testing.T) {
 	f := func(seed int64) bool {

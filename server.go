@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,16 +20,13 @@ import (
 // ServerOptions configures a Server. The zero value (or nil) uses the
 // defaults noted on each field.
 type ServerOptions struct {
-	// MaxBatch caps the number of sources coalesced into one
-	// SourcesBatched wave (default 16). Larger waves amortize the shared
-	// per-phase edge sweep over more sources but cost k×n working memory.
-	MaxBatch int
 	// MaxInFlight is the hard ceiling on admitted requests queued or being
-	// served (default 1024). The adaptive limiter (see Admission) moves the
-	// effective limit below this ceiling, never above it. Requests beyond
-	// the effective limit are shed by priority: they either evict queued
-	// lower-priority work, are answered degraded (brownout), or are refused
-	// with ErrServerOverloaded.
+	// served (default 1024). At most the effective limit of them run at
+	// once — the adaptive limiter (see Admission) moves it below this
+	// ceiling, never above it — and the rest wait in the priority queue.
+	// Arrivals past the ceiling are shed by priority: they either evict
+	// queued lower-priority work, are answered degraded (brownout), or are
+	// refused with ErrServerOverloaded.
 	MaxInFlight int
 	// QueueTimeout bounds how long one admitted request may spend queued
 	// plus being served; a request that exceeds it is answered with
@@ -47,7 +43,7 @@ type ServerOptions struct {
 	// the given memory budget: completed SSSP distance vectors are retained
 	// by (source, epoch) and repeat queries are answered from the cache
 	// without entering the admission path at all, while concurrent misses
-	// on one source share a single computed wave lane (single-flight). An
+	// on one source share a single computation (single-flight). An
 	// index hot-swap (Reweight) invalidates lazily — stale vectors stop
 	// matching and are evicted first — and degraded (fallback-served)
 	// results are never cached. 0 (the default) disables the cache at zero
@@ -55,21 +51,23 @@ type ServerOptions struct {
 	CacheBytes int64
 	// Observer, when non-nil, receives the server's serving metrics in its
 	// registry: queue depth ("server.queue.depth" gauge), wave sizes
-	// ("server.wave.size" histogram), and admitted / refused / cancelled /
-	// timed-out request, wave, and recovered-panic counters. It may be the
-	// same Observer the Index was built with.
+	// ("server.wave.size" histogram; every served request is one wave of
+	// size 1), and admitted / refused / cancelled / timed-out request,
+	// wave, and recovered-panic counters. It may be the same Observer the
+	// Index was built with.
 	Observer *Observer
-	// Inject, when non-nil, fires the fault-injection harness at the
-	// server's wave boundary ("server.wave"). Chaos testing only.
+	// Inject, when non-nil, fires the fault-injection harness once per
+	// served request, just before its kernel runs ("server.wave"). Chaos
+	// testing only.
 	Inject faultinject.Injector
 	// Telemetry, when non-nil, receives live serving telemetry: per-query
-	// outcome counters, queue-wait and compute-time histograms, wave sizes,
-	// and flight-recorder events, continuously scrapeable while serving
+	// outcome counters, queue-wait and compute-time histograms, and
+	// flight-recorder events, continuously scrapeable while serving
 	// (see Telemetry.Handler). Nil keeps the uninstrumented hot path — the
 	// per-request cost is exactly one nil check.
 	Telemetry *Telemetry
 	// Logger, when non-nil, receives structured serving logs via log/slog:
-	// executed waves at Debug, recovered panics at Error. Nil disables
+	// served requests at Debug, recovered panics at Error. Nil disables
 	// logging at zero cost.
 	Logger *slog.Logger
 }
@@ -105,41 +103,46 @@ type AdmissionOptions struct {
 	// RebuildBreaker tunes the circuit breaker the server's Manager wraps
 	// around reweighting rebuilds (see ManagerOptions.RebuildBreaker).
 	RebuildBreaker BreakerOptions
+
+	// now replaces the limiter's clock in tests; nil uses time.Now.
+	now func() time.Time
 }
 
-// Server serves concurrent shortest-path requests on one shared Index,
-// coalescing requests that arrive while a wave is running into the next
-// multi-source SourcesBatched wave. This turns q concurrent single-source
-// queries from q independent edge sweeps into ⌈q/MaxBatch⌉ shared sweeps —
-// the serving-side counterpart of the engine's batched query path.
+// Server serves concurrent shortest-path requests on one shared Index.
+// Every admitted request runs the single-source query kernel on its
+// caller's goroutine while it holds one of the effective limit's serving
+// slots, so up to that many requests compute at once; arrivals past the
+// limit wait in a priority queue, and a finishing request hands its slot
+// straight to the next live waiter. Concurrent misses on one source are
+// collapsed by the result cache's single-flight (ServerOptions.CacheBytes),
+// not by the server.
 //
-// Admission is adaptive: a gradient concurrency limiter watches measured
-// wave latency against a smoothed no-load baseline and moves the effective
-// in-flight limit between AdmissionOptions.Min and the MaxInFlight hard
-// ceiling. Requests carry a Priority (WithPriority); when the effective
-// limit is exhausted, an arriving request sheds the youngest queued request
-// of a lower priority class rather than being refused, and past a sustained
-// shed-rate threshold the server enters brownout: batch and background
-// queries are answered exactly — but slower — by the baseline fallback
-// engine instead of being refused. Interactive queries are never browned
-// out.
+// Admission is adaptive: a gradient concurrency limiter watches each
+// request's round-trip time (admission to answer) against a smoothed
+// no-load baseline and moves the effective limit between
+// AdmissionOptions.Min and the MaxInFlight hard ceiling. Requests carry a
+// Priority (WithPriority); when MaxInFlight requests are already admitted,
+// an arriving request sheds the youngest queued request of a lower
+// priority class rather than being refused, and past a sustained shed-rate
+// threshold the server enters brownout: batch and background queries are
+// answered exactly — but slower — by the baseline fallback engine instead
+// of being refused. Interactive queries are never browned out.
 //
 // All methods are safe for concurrent use. Requests carry a
 // context.Context: a request cancelled while queued is answered with
-// ctx.Err() and never joins a wave; a running wave is abandoned once every
-// request in it has gone away. A panic during a wave is recovered by the
-// dispatcher and answered as a *PanicError — the server and the shared
-// Index keep serving.
+// ctx.Err() and never runs, and a running request stops within one
+// Bellman-Ford phase of its context ending. A panic while serving a
+// request is recovered and answered as a *PanicError — the server and the
+// shared Index keep serving.
 //
-// The server serves through a Manager: each wave pins the current epoch's
-// index for its duration, so Reweight (or Manager.Reweight) can hot-swap a
-// reweighted index underneath live traffic with zero downtime — in-flight
-// waves drain on the epoch they started on, new waves route to the new
-// epoch (see Manager).
+// The server serves through a Manager: each request pins the current
+// epoch's index while it runs, so Reweight (or Manager.Reweight) can
+// hot-swap a reweighted index underneath live traffic with zero downtime —
+// in-flight requests finish on the epoch they started on, new requests
+// route to the new epoch (see Manager).
 type Server struct {
 	mgr          *Manager
 	n            int // skeleton vertex count; constant across epoch swaps
-	maxBatch     int
 	maxInFlight  int
 	queueTimeout time.Duration
 	inj          faultinject.Injector
@@ -149,14 +152,17 @@ type Server struct {
 	// one nil check inside the call.
 	cache *distcache.Cache
 
-	q           *admission.Queue[ssspReq]
+	// mu orders slot grants against queue pushes, so a slot freed while an
+	// arrival queues is never lost; running counts held serving slots.
+	mu          sync.Mutex
+	running     int
+	q           *admission.Queue[*waiter]
 	lim         *admission.Limiter
 	brown       *admission.Brownout
 	fbBreaker   *admission.Breaker // nil when disabled
 	brownoutOff bool
-	serving     atomic.Int64 // requests popped from the queue, not yet decided
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // admitted requests not yet answered; Close waits
 
 	// Always-on counters backing Healthz (the obs instruments below are
 	// nil no-ops without an Observer).
@@ -181,53 +187,39 @@ type Server struct {
 
 	// Live telemetry and structured logging; both nil by default, and the
 	// hot path pays only a nil check for each.
-	tel     *Telemetry
-	logger  *slog.Logger
-	waveSeq atomic.Int64 // wave ids for flight-recorder correlation
+	tel    *Telemetry
+	logger *slog.Logger
+	reqSeq atomic.Int64 // served-request ids for flight-recorder correlation
 }
 
-type ssspReq struct {
-	src  int
-	ctx  context.Context
-	resc chan ssspResp // buffered; the dispatcher never blocks on delivery
-	cls  admission.Class
-	enq  int64 // admission time, Unix nanos (0 only for test-injected reqs)
+// Waiter states: a queued request is decided exactly once, by whichever
+// CAS wins — a releasing request granting it a slot, an arrival evicting
+// it, or the waiter itself abandoning the queue when its context ends.
+const (
+	waiting int32 = iota
+	granted
+	evicted
+	abandoned
+)
+
+// waiter is one queued request. ready is closed once state leaves waiting
+// through a grant or an eviction; an abandoning waiter leaves its entry in
+// the queue for a later releaser to skip and count, recording why in cause
+// first.
+type waiter struct {
+	state atomic.Int32
+	ready chan struct{}
+	cause error // the context's cause; written before the abandon CAS
+	slots int   // slots held, its own included, when granted; written before ready closes
+	src   int
+	enq   time.Time // wall-clock admission stamp, set only with Telemetry
 }
 
-type ssspResp struct {
-	dist []float64
-	err  error
-	// epoch and degraded describe the wave that produced dist, so the
-	// cache can admit under the epoch that actually served the request
-	// (a swap may race the wave) and never admit fallback-served results.
-	epoch    uint64
-	degraded bool
-}
-
-// errEvicted answers a queued request displaced by a higher-priority
-// arrival. It never escapes the server: the victim's own SSSP call
-// intercepts it and re-enters the shed/brownout path on its own goroutine
-// (so a brownout Dijkstra never runs on the evictor's goroutine).
-var errEvicted = errors.New("sepsp: internal: evicted from admission queue")
-
-// NewServer starts a serving loop over ix, wrapping it in a new Manager
-// (reachable via Manager) so the index can be hot-swapped with Reweight.
-// The caller should Close the server when done to release its dispatcher
-// goroutine.
+// NewServer starts serving ix, wrapping it in a new Manager (reachable via
+// Manager) so the index can be hot-swapped with Reweight. The caller should
+// Close the server when done; Close waits for admitted requests.
 func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
-	s, err := newServer(ix, opt)
-	if err != nil {
-		return nil, err
-	}
-	s.wg.Add(1)
-	go s.run()
-	return s, nil
-}
-
-// newServer builds a Server without starting its dispatcher — split out so
-// tests can pre-queue requests and observe one deterministic wave.
-func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
-	maxBatch, maxInFlight := 16, 1024
+	maxInFlight := 1024
 	var queueTimeout time.Duration
 	var inj faultinject.Injector
 	var reg *obs.Registry
@@ -236,13 +228,10 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	var admOpt AdmissionOptions
 	var cacheBytes int64
 	if opt != nil {
-		if opt.MaxBatch < 0 || opt.MaxInFlight < 0 || opt.QueueTimeout < 0 || opt.CacheBytes < 0 {
+		if opt.MaxInFlight < 0 || opt.QueueTimeout < 0 || opt.CacheBytes < 0 {
 			return nil, fmt.Errorf("%w: server limits must be non-negative", ErrBadOptions)
 		}
 		cacheBytes = opt.CacheBytes
-		if opt.MaxBatch > 0 {
-			maxBatch = opt.MaxBatch
-		}
 		if opt.MaxInFlight > 0 {
 			maxInFlight = opt.MaxInFlight
 		}
@@ -273,19 +262,19 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	s := &Server{
 		mgr:          NewManager(ix, mgrOpt),
 		n:            ix.g.N(),
-		maxBatch:     maxBatch,
 		maxInFlight:  maxInFlight,
 		queueTimeout: queueTimeout,
 		inj:          inj,
 		tel:          tel,
 		logger:       logger,
-		q:            admission.NewQueue[ssspReq](),
+		q:            admission.NewQueue[*waiter](),
 		lim: admission.NewLimiter(admission.LimiterConfig{
 			Initial:     admOpt.Initial,
 			Min:         admOpt.Min,
 			Max:         maxInFlight,
 			Tolerance:   admOpt.Tolerance,
 			DropBackoff: admOpt.DropBackoff,
+			Now:         admOpt.now,
 		}),
 		brown:       admission.NewBrownout(brownCfg),
 		fbBreaker:   admOpt.FallbackBreaker.build(),
@@ -330,8 +319,8 @@ func newServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	return s, nil
 }
 
-// effectiveLimit is the admission window currently in force: the adaptive
-// limit capped by the MaxInFlight hard ceiling.
+// effectiveLimit is the number of serving slots currently in force: the
+// adaptive limit capped by the MaxInFlight hard ceiling.
 func (s *Server) effectiveLimit() int {
 	lim := s.lim.Limit()
 	if lim > s.maxInFlight {
@@ -340,26 +329,27 @@ func (s *Server) effectiveLimit() int {
 	return lim
 }
 
-// budget is how many requests may sit in the queue right now: the effective
-// limit minus work already popped for serving. It can go negative under a
-// shrinking limit; the queue treats that as zero.
-func (s *Server) budget() int {
-	return s.effectiveLimit() - int(s.serving.Load())
+// inFlight is the number of admitted requests not yet decided: queued plus
+// holding a serving slot.
+func (s *Server) inFlight() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.running + s.q.Len()
 }
 
-// SSSP returns exact distances from src, like Index.SSSP, but through the
-// server's admission and batching path: the request may wait for the
-// in-progress wave and is then coalesced with other pending requests.
+// SSSP returns exact distances from src, like Index.SSSPContext, but
+// through the server's cache and admission path: a miss waits for a
+// serving slot and then runs the query kernel on the caller's goroutine.
 //
 // Admission is priority-aware (WithPriority; the default is
-// PriorityInteractive). When the adaptive limit is exhausted the request
-// may displace queued lower-priority work; a request that cannot be
-// admitted is answered degraded from the fallback engine if brownout is
+// PriorityInteractive). When MaxInFlight requests are already admitted the
+// request may displace queued lower-priority work; a request that cannot
+// be admitted is answered degraded from the fallback engine if brownout is
 // engaged (batch/background only), and otherwise refused with
 // ErrServerOverloaded (back off and retry — see Retry). It returns
 // ErrQueueTimeout when the request outlived ServerOptions.QueueTimeout,
 // ErrServerClosed after Close, ctx.Err() if ctx ends first, and a
-// *PanicError if the serving wave panicked.
+// *PanicError if serving the request panicked.
 func (s *Server) SSSP(ctx context.Context, src int) ([]float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -398,10 +388,10 @@ func (s *Server) SSSP(ctx context.Context, src int) ([]float64, error) {
 	return dist, err
 }
 
-// ssspAdmit is the uncached serving path: admission, queueing, and the
-// coalesced wave. It reports the epoch that served the request and whether
-// the answer came from a degraded (fallback) engine, so the cache layer
-// can decide admission.
+// ssspAdmit is the uncached serving path: admission, waiting for a slot,
+// and the query itself. It reports the epoch that served the request and
+// whether the answer came from a degraded (fallback) engine, so the cache
+// layer can decide admission.
 func (s *Server) ssspAdmit(ctx context.Context, src int) ([]float64, uint64, bool, error) {
 	if s.queueTimeout > 0 {
 		var cancel context.CancelFunc
@@ -409,44 +399,246 @@ func (s *Server) ssspAdmit(ctx context.Context, src int) ([]float64, uint64, boo
 		defer cancel()
 	}
 	cls := PriorityOf(ctx).class()
-	r := ssspReq{
-		src:  src,
-		ctx:  ctx,
-		resc: make(chan ssspResp, 1),
-		cls:  cls,
-		enq:  time.Now().UnixNano(),
+	start := s.lim.Now()
+	var enq time.Time // wall-clock admission stamp for telemetry only
+	if s.tel != nil {
+		enq = time.Now()
 	}
-	res, victim := s.q.Push(r, cls, s.budget())
+	w, slots, res := s.admit(cls, src, enq)
 	switch res {
 	case admission.Closed:
 		return nil, 0, false, ErrServerClosed
 	case admission.Rejected:
 		dist, err := s.shed(ctx, src, cls)
 		return dist, 0, true, err // brownout answers are degraded: never cached
-	case admission.AdmittedEvicted:
-		// The victim's own SSSP call re-enters the shed path when it sees
-		// errEvicted; the send cannot block (resc is 1-buffered and the
-		// victim left the queue, so nobody else will answer it).
-		s.nEvicted.Add(1)
-		victim.resc <- ssspResp{err: errEvicted}
 	}
+	defer s.wg.Done()
 	s.nRequests.Add(1)
 	s.requests.Inc()
-	s.depth.Set(float64(s.q.Len()))
 	s.brown.Note(false)
-	select {
-	case resp := <-r.resc:
-		if resp.err == errEvicted {
-			dist, err := s.shed(ctx, src, cls)
-			return dist, 0, true, err
+	if w != nil {
+		if err := s.await(ctx, w); err != nil {
+			if err == errEvicted {
+				dist, err := s.shed(ctx, src, cls)
+				return dist, 0, true, err
+			}
+			return nil, 0, false, err
 		}
-		return resp.dist, resp.epoch, resp.degraded, resp.err
-	case <-ctx.Done():
-		// The request stays in the queue; the dispatcher sees the dead
-		// context and discards (and counts) it without serving. Cause
-		// distinguishes ErrQueueTimeout from the caller's own ctx ending.
-		return nil, 0, false, context.Cause(ctx)
+		slots = w.slots
 	}
+	defer s.release()
+	return s.serve(ctx, src, start, enq, slots)
+}
+
+// errEvicted reports a queued request displaced by a higher-priority
+// arrival. It never escapes the server: the victim's own SSSP call
+// re-enters the shed/brownout path on its own goroutine (so a brownout
+// Dijkstra never runs on the evictor's goroutine).
+var errEvicted = errors.New("sepsp: internal: evicted from admission queue")
+
+// admit decides one arrival. With a free slot and nobody queued ahead it
+// takes the slot at once (nil waiter, and the number of slots held with
+// it); otherwise it queues a waiter within the MaxInFlight ceiling,
+// evicting the youngest queued request of a lower class when the ceiling
+// is reached. Admitted requests are added to wg.
+func (s *Server) admit(cls admission.Class, src int, enq time.Time) (*waiter, int, admission.PushResult) {
+	s.mu.Lock()
+	if s.q.IsClosed() {
+		s.mu.Unlock()
+		return nil, 0, admission.Closed
+	}
+	s.grantLocked() // the limit may have grown since the last release
+	if s.running < s.effectiveLimit() && s.q.Len() == 0 {
+		s.running++
+		slots := s.running
+		s.wg.Add(1)
+		s.mu.Unlock()
+		return nil, slots, admission.Admitted
+	}
+	w := &waiter{ready: make(chan struct{}), src: src, enq: enq}
+	res, victim := s.q.Push(w, cls, s.maxInFlight-s.running)
+	if res == admission.Admitted || res == admission.AdmittedEvicted {
+		s.wg.Add(1)
+		s.depth.Set(float64(s.q.Len()))
+	}
+	s.mu.Unlock()
+	if victim != nil {
+		if victim.state.CompareAndSwap(waiting, evicted) {
+			s.nEvicted.Add(1)
+			close(victim.ready)
+		} else {
+			s.countAbandoned(victim) // it had already left; skip it here
+		}
+	}
+	return w, 0, res
+}
+
+// await blocks a queued request until it is granted a slot (nil), evicted
+// (errEvicted), or its context ends (the context's cause). A grant that
+// races the context's end is handed straight back, so no slot is lost.
+func (s *Server) await(ctx context.Context, w *waiter) error {
+	select {
+	case <-w.ready:
+	case <-ctx.Done():
+		w.cause = context.Cause(ctx)
+		if w.state.CompareAndSwap(waiting, abandoned) {
+			return w.cause // counted once, by whoever skips the entry
+		}
+		<-w.ready // a grant or eviction won the race
+		if w.state.Load() == granted {
+			s.release()
+			s.countAbandoned(w)
+			return w.cause
+		}
+	}
+	if w.state.Load() == evicted {
+		return errEvicted
+	}
+	return nil
+}
+
+// release gives up one serving slot, handing it to the next live waiter.
+func (s *Server) release() {
+	s.mu.Lock()
+	s.running--
+	s.grantLocked()
+	s.mu.Unlock()
+}
+
+// grantLocked fills free slots from the queue in serve order, skipping (and
+// counting) waiters whose context ended while queued. Caller holds mu.
+func (s *Server) grantLocked() {
+	popped := false
+	for s.running < s.effectiveLimit() {
+		w, _, ok := s.q.TryPop()
+		if !ok {
+			break
+		}
+		popped = true
+		if w.state.CompareAndSwap(waiting, granted) {
+			s.running++
+			w.slots = s.running
+			close(w.ready)
+			continue
+		}
+		s.countAbandoned(w)
+	}
+	if popped {
+		s.depth.Set(float64(s.q.Len()))
+	}
+}
+
+// countAbandoned counts a request that ended before running, by its
+// context's cause: ErrQueueTimeout as timed out, anything else as
+// cancelled.
+func (s *Server) countAbandoned(w *waiter) {
+	out := live.OutcomeCancelled
+	if errors.Is(w.cause, ErrQueueTimeout) {
+		s.nTimedOut.Add(1)
+		s.timedout.Inc()
+		out = live.OutcomeTimeout
+	} else {
+		s.nCancelled.Add(1)
+		s.cancelled.Inc()
+	}
+	if s.tel != nil {
+		s.tel.recordQuery(out, w.src, 0, time.Since(w.enq).Nanoseconds(), 0, 0, s.mgr.Epoch(), false)
+	}
+}
+
+// serve answers one request that holds a serving slot: it pins the serving
+// epoch, runs the query under a panic guard, records the outcome, and on
+// success feeds the limiter the request's round-trip time since start (its
+// admission stamp on the limiter's clock) as one of slots samples sharing a
+// round trip — slots being the serving slots held, its own included, when
+// it took its slot.
+//
+// With Telemetry attached, the request records its outcome, queue wait
+// (admission → slot) and compute time, a size-1 wave observation with the
+// pruning the kernel achieved, and flight-recorder events; without it this
+// function reads only the limiter's clock.
+func (s *Server) serve(ctx context.Context, src int, start, enq time.Time, slots int) ([]float64, uint64, bool, error) {
+	e := s.mgr.pin()
+	defer s.mgr.release(e)
+	ix, epoch := e.ix, e.id
+	degraded := ix.Degraded() // also gates cache admission of the answer
+	instr := s.tel != nil || s.logger != nil
+	var t0 time.Time
+	var st *pram.Stats
+	var id int64
+	if instr {
+		t0 = time.Now()
+		id = s.reqSeq.Add(1)
+		if s.tel != nil {
+			st = &pram.Stats{} // collect the query's pruning telemetry
+		}
+	}
+	dist, err := s.runRequest(ctx, ix, src, st)
+	var queueNanos, computeNanos int64
+	if instr {
+		computeNanos = time.Since(t0).Nanoseconds()
+		if s.tel != nil {
+			queueNanos = t0.Sub(enq).Nanoseconds()
+		}
+	}
+	if err != nil {
+		out := live.OutcomeError
+		var pe *PanicError
+		switch {
+		case errors.As(err, &pe):
+			out = live.OutcomePanic
+			s.nPanics.Add(1)
+			s.panics.Inc()
+			if s.logger != nil {
+				s.logger.Error("request panicked", "request", id, "src", src, "err", err)
+			}
+		case ctx.Err() != nil:
+			// The request's own context ended mid-query: answer with its
+			// cause and count it once here.
+			err = context.Cause(ctx)
+			if errors.Is(err, ErrQueueTimeout) {
+				s.nTimedOut.Add(1)
+				s.timedout.Inc()
+				out = live.OutcomeTimeout
+			} else {
+				s.nCancelled.Add(1)
+				s.cancelled.Inc()
+				out = live.OutcomeCancelled
+			}
+		}
+		if s.tel != nil {
+			s.tel.recordQuery(out, src, id, queueNanos, computeNanos, 1, epoch, degraded)
+		}
+		return nil, 0, false, err
+	}
+	s.nWaves.Add(1)
+	s.waves.Inc()
+	s.waveSize.Observe(1)
+	if s.tel != nil {
+		s.tel.recordQuery(live.OutcomeOK, src, id, queueNanos, computeNanos, 1, epoch, degraded)
+		s.tel.recordWave(id, 1, computeNanos, epoch, degraded, st.SkippedRounds(), st.SkippedWork())
+	}
+	if s.logger != nil {
+		s.logger.Debug("request served", "request", id, "src", src, "epoch", epoch, "compute", time.Duration(computeNanos))
+	}
+	s.lim.ObserveShared(s.lim.Now().Sub(start), slots)
+	return dist, epoch, degraded, nil
+}
+
+// runRequest executes one query on the epoch-pinned index under a panic
+// guard: an injected or organic panic comes back as a *PanicError instead
+// of unwinding the caller (the Index's own FallbackPolicy, if any, has
+// already had its chance to absorb it).
+func (s *Server) runRequest(ctx context.Context, ix *Index, src int, st *pram.Stats) (dist []float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			dist, err = nil, newPanicError("serve", r)
+		}
+	}()
+	if s.inj != nil {
+		s.inj.Fire(faultinject.SiteServerWave)
+	}
+	return ix.ssspStats(ctx, src, st)
 }
 
 // shed decides a request that could not be (or stay) admitted: feed the
@@ -485,7 +677,7 @@ func (s *Server) countShed(src int, cls admission.Class) {
 
 // brownoutAnswer serves one shed query exactly from the baseline fallback
 // engine, on the requester's goroutine, under the fallback circuit breaker
-// and a panic guard. The wave pipeline is untouched.
+// and a panic guard. No serving slot is taken.
 func (s *Server) brownoutAnswer(ctx context.Context, src int, cls admission.Class) ([]float64, error) {
 	ix, epoch, release := s.mgr.Acquire()
 	defer release()
@@ -533,7 +725,7 @@ func (s *Server) runBrownout(ctx context.Context, ix *Index, src int) (dist []fl
 // built it answers directly from the hub labels (no queueing); otherwise a
 // cached distance vector for u answers without entering the admission
 // limiter at all — a zero-allocation point read — and only a cache miss
-// runs one SSSP request through the batching path and picks out v.
+// runs one SSSP request through the admission path and picks out v.
 // Both endpoints are validated before any work is enqueued; an
 // out-of-range endpoint fails fast with an error wrapping ErrBadOptions
 // that names which endpoint (source or destination) is bad.
@@ -594,11 +786,10 @@ type ServerHealth struct {
 	Epoch uint64 `json:"epoch"`
 	// Rebuilding reports whether a reweighting rebuild is in flight.
 	Rebuilding bool `json:"rebuilding"`
-	// QueueDepth is the number of requests currently queued, and
-	// MaxInFlight/MaxBatch the configured limits.
+	// QueueDepth is the number of requests currently queued for a serving
+	// slot, and MaxInFlight the configured hard ceiling.
 	QueueDepth  int `json:"queue_depth"`
 	MaxInFlight int `json:"max_in_flight"`
-	MaxBatch    int `json:"max_batch"`
 	// Requests counts admitted requests; Rejected counts refusals with
 	// ErrServerOverloaded; Cancelled and TimedOut count admitted requests
 	// that ended with their context's cancellation or ErrQueueTimeout.
@@ -606,12 +797,13 @@ type ServerHealth struct {
 	Rejected  int64 `json:"rejected"`
 	Cancelled int64 `json:"cancelled"`
 	TimedOut  int64 `json:"timed_out"`
-	// Waves counts executed coalesced waves; Panics counts panics the
-	// dispatcher recovered.
+	// Waves counts served requests — each request is one wave of size 1,
+	// the unit the wave metrics keep counting; Panics counts recovered
+	// serving panics.
 	Waves  int64 `json:"waves"`
 	Panics int64 `json:"panics"`
-	// EffectiveLimit is the adaptive admission limit currently in force
-	// (≤ MaxInFlight); Brownout reports whether brownout mode is engaged;
+	// EffectiveLimit is the number of serving slots currently in force
+	// (the adaptive limit, ≤ MaxInFlight); Brownout reports whether brownout mode is engaged;
 	// Brownouts counts queries answered degraded from the fallback engine;
 	// Evicted counts queued requests displaced by higher-priority arrivals.
 	EffectiveLimit int   `json:"effective_limit"`
@@ -634,8 +826,8 @@ type ServerHealth struct {
 // String renders the snapshot as one "key=value" line for logs and CLIs.
 func (h ServerHealth) String() string {
 	return fmt.Sprintf(
-		"closed=%v degraded=%v epoch=%d rebuilding=%v queue=%d/%d maxBatch=%d requests=%d rejected=%d cancelled=%d timedout=%d waves=%d panics=%d limit=%d brownout=%v brownouts=%d evicted=%d cacheHits=%d cacheMisses=%d cacheShared=%d cacheEvictions=%d cacheBytes=%d",
-		h.Closed, h.Degraded, h.Epoch, h.Rebuilding, h.QueueDepth, h.MaxInFlight, h.MaxBatch,
+		"closed=%v degraded=%v epoch=%d rebuilding=%v queue=%d/%d requests=%d rejected=%d cancelled=%d timedout=%d waves=%d panics=%d limit=%d brownout=%v brownouts=%d evicted=%d cacheHits=%d cacheMisses=%d cacheShared=%d cacheEvictions=%d cacheBytes=%d",
+		h.Closed, h.Degraded, h.Epoch, h.Rebuilding, h.QueueDepth, h.MaxInFlight,
 		h.Requests, h.Rejected, h.Cancelled, h.TimedOut, h.Waves, h.Panics,
 		h.EffectiveLimit, h.Brownout, h.Brownouts, h.Evicted,
 		h.CacheHits, h.CacheMisses, h.CacheShared, h.CacheEvictions, h.CacheBytes)
@@ -652,7 +844,6 @@ func (s *Server) Healthz() ServerHealth {
 		Rebuilding:     s.mgr.Rebuilding(),
 		QueueDepth:     s.q.Len(),
 		MaxInFlight:    s.maxInFlight,
-		MaxBatch:       s.maxBatch,
 		Requests:       s.nRequests.Load(),
 		Rejected:       s.nRejected.Load(),
 		Cancelled:      s.nCancelled.Load(),
@@ -672,9 +863,12 @@ func (s *Server) Healthz() ServerHealth {
 }
 
 // Close stops admitting requests, serves everything already queued, waits
-// for the dispatcher to finish, and returns. Safe to call multiple times.
+// for every admitted request to be answered, and returns. Safe to call
+// multiple times.
 func (s *Server) Close() error {
+	s.mu.Lock()
 	s.q.Close()
+	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
 }
@@ -693,252 +887,4 @@ func (s *Server) checkVertexRole(v int, role string) error {
 		return fmt.Errorf("%w: %s vertex %d out of range [0,%d)", ErrBadOptions, role, v, s.n)
 	}
 	return nil
-}
-
-// run is the dispatcher loop: block for one request, sweep up whatever
-// else is already queued (up to MaxBatch, in priority order), serve the
-// wave, repeat. Requests arriving while a wave runs accumulate in the queue
-// and form the next wave — batching is adaptive: empty-queue latency is one
-// solo query, and under load waves grow toward MaxBatch.
-func (s *Server) run() {
-	defer s.wg.Done()
-	batch := make([]ssspReq, 0, s.maxBatch)
-	for {
-		r, _, ok := s.q.PopWait()
-		if !ok {
-			return
-		}
-		batch = s.gather(append(batch[:0], r))
-		s.depth.Set(float64(s.q.Len()))
-		s.serving.Add(int64(len(batch)))
-		s.serveWave(batch)
-		s.serving.Add(-int64(len(batch)))
-	}
-}
-
-// gather drains queued requests into batch, up to maxBatch. When the queue
-// runs dry it yields the processor a couple of times before sealing the
-// wave: on a single-P runtime the dispatcher always wins the race back to
-// the queue, so without the yield concurrent clients would be served in
-// solo waves and never coalesce. The yields are no-ops when nothing else is
-// runnable.
-func (s *Server) gather(batch []ssspReq) []ssspReq {
-	for yields := 0; len(batch) < s.maxBatch; {
-		r, _, ok := s.q.TryPop()
-		if !ok {
-			if yields >= 2 {
-				return batch
-			}
-			yields++
-			runtime.Gosched()
-			continue
-		}
-		batch = append(batch, r)
-	}
-	return batch
-}
-
-// serveWave answers one coalesced batch: requests whose context already
-// ended get their context's cause, the rest share one SourcesBatched sweep
-// under a merged context that lives as long as any member does. The whole
-// wave runs under a panic guard — a panic answers every member with a
-// *PanicError and the dispatcher moves on to the next wave.
-//
-// The wave pins the serving epoch for its whole duration: the epoch's
-// index cannot be released by a concurrent Reweight swap until the wave's
-// release runs, and every request in one wave is served by — and, with
-// Telemetry, attributed to — exactly one epoch.
-//
-// A successful wave feeds the gradient limiter with the wave's worst
-// member round-trip time (admission → decided), the signal the adaptive
-// admission limit steers by.
-//
-// With Telemetry attached, each decided request records its outcome and
-// its latency phase breakdown — queue wait (admission → wave start) and
-// the wave's shared compute time — plus a flight-recorder event; without
-// it this function performs only the limiter's clock reads.
-func (s *Server) serveWave(batch []ssspReq) {
-	ix, epoch, release := s.mgr.Acquire()
-	defer release()
-	instr := s.tel != nil || s.logger != nil
-	var waveStart time.Time
-	degraded := ix.Degraded() // also gates cache admission of the wave's rows
-	if instr {
-		waveStart = time.Now()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			// Panics outside runWave's own guard (delivery bookkeeping).
-			// Answer anyone still waiting; non-blocking sends make the
-			// already-answered harmless.
-			s.nPanics.Add(1)
-			s.panics.Inc()
-			pe := newPanicError("serve", r)
-			if s.tel != nil {
-				s.tel.recordQuery(live.OutcomePanic, -1, 0, 0, 0, len(batch), epoch, degraded)
-			}
-			if s.logger != nil {
-				s.logger.Error("wave delivery panicked", "batch", len(batch), "err", pe)
-			}
-			for _, req := range batch {
-				select {
-				case req.resc <- ssspResp{err: pe}:
-				default:
-				}
-			}
-		}
-	}()
-	alive := batch[:0]
-	for _, r := range batch {
-		if r.ctx.Err() != nil {
-			cause := context.Cause(r.ctx)
-			out := live.OutcomeCancelled
-			if errors.Is(cause, ErrQueueTimeout) {
-				s.nTimedOut.Add(1)
-				s.timedout.Inc()
-				out = live.OutcomeTimeout
-			} else {
-				s.nCancelled.Add(1)
-				s.cancelled.Inc()
-			}
-			if s.tel != nil {
-				s.tel.recordQuery(out, r.src, 0, waveStart.UnixNano()-r.enq, 0, 0, epoch, degraded)
-			}
-			r.resc <- ssspResp{err: cause}
-			continue
-		}
-		alive = append(alive, r)
-	}
-	if len(alive) == 0 {
-		return
-	}
-	srcs := make([]int, len(alive))
-	for i, r := range alive {
-		srcs[i] = r.src
-	}
-	waveID := s.waveSeq.Add(1)
-	ctx, detach := waveContext(alive)
-	defer detach() // idempotent; guards the early-panic path against watcher leaks
-	var t0 time.Time
-	var wst *pram.Stats
-	if instr {
-		t0 = time.Now()
-		if s.tel != nil {
-			wst = &pram.Stats{} // collect the wave's pruning telemetry
-		}
-	}
-	rows, err := s.runWave(ctx, ix, srcs, wst)
-	var computeNanos int64
-	if instr {
-		computeNanos = time.Since(t0).Nanoseconds()
-	}
-	detach()
-	if err != nil {
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			s.nPanics.Add(1)
-			s.panics.Inc()
-			if s.logger != nil {
-				s.logger.Error("wave panicked", "wave", waveID, "size", len(alive), "err", err)
-			}
-		}
-		for _, r := range alive {
-			resp := ssspResp{err: err}
-			out := live.OutcomePanic
-			if pe == nil {
-				out = live.OutcomeError
-			}
-			if cerr := r.ctx.Err(); cerr != nil && pe == nil {
-				// The wave was abandoned because every member went away;
-				// answer each with its own cause and count it once here.
-				resp.err = context.Cause(r.ctx)
-				if errors.Is(resp.err, ErrQueueTimeout) {
-					s.nTimedOut.Add(1)
-					s.timedout.Inc()
-					out = live.OutcomeTimeout
-				} else {
-					s.nCancelled.Add(1)
-					s.cancelled.Inc()
-					out = live.OutcomeCancelled
-				}
-			}
-			if s.tel != nil {
-				s.tel.recordQuery(out, r.src, waveID, waveStart.UnixNano()-r.enq, computeNanos, len(alive), epoch, degraded)
-			}
-			r.resc <- resp
-		}
-		return
-	}
-	s.nWaves.Add(1)
-	s.waves.Inc()
-	s.waveSize.Observe(float64(len(alive)))
-	if s.tel != nil {
-		for _, r := range alive {
-			s.tel.recordQuery(live.OutcomeOK, r.src, waveID, waveStart.UnixNano()-r.enq, computeNanos, len(alive), epoch, degraded)
-		}
-		s.tel.recordWave(waveID, len(alive), computeNanos, epoch, degraded,
-			wst.SkippedRounds(), wst.SkippedWork())
-	}
-	if s.logger != nil {
-		s.logger.Debug("wave served", "wave", waveID, "size", len(alive), "epoch", epoch, "compute", time.Duration(computeNanos))
-	}
-	// Feed the limiter with the wave's worst member RTT: admission time of
-	// the oldest member to now. Test-injected requests (enq 0) are skipped
-	// so they cannot poison the baseline.
-	var oldest int64
-	for _, r := range alive {
-		if r.enq > 0 && (oldest == 0 || r.enq < oldest) {
-			oldest = r.enq
-		}
-	}
-	if oldest > 0 {
-		s.lim.Observe(time.Duration(time.Now().UnixNano() - oldest))
-	}
-	for i, r := range alive {
-		r.resc <- ssspResp{dist: rows[i], epoch: epoch, degraded: degraded}
-	}
-}
-
-// runWave executes one batched query — on the epoch-pinned index the wave
-// acquired — under the dispatcher's panic guard: an injected or organic
-// panic comes back as a *PanicError instead of killing the dispatcher (the
-// Index's own FallbackPolicy, if any, has already had its chance to absorb
-// it).
-func (s *Server) runWave(ctx context.Context, ix *Index, srcs []int, st *pram.Stats) (rows [][]float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rows, err = nil, newPanicError("serve", r)
-		}
-	}()
-	if s.inj != nil {
-		s.inj.Fire(faultinject.SiteServerWave)
-	}
-	return ix.sourcesBatchedStats(ctx, srcs, st)
-}
-
-// waveContext returns a context that is cancelled once EVERY member's
-// context has ended — one abandoned request does not abort the shared wave,
-// but a wave nobody is waiting for stops within one phase. detach must be
-// called when the wave finishes to drop the AfterFunc watchers on the
-// member contexts; it is safe to call more than once, so callers can both
-// detach eagerly (to release watchers before delivery) and defer it (so a
-// delivery panic cannot leak them).
-func waveContext(live []ssspReq) (context.Context, func()) {
-	ctx, cancel := context.WithCancel(context.Background())
-	remaining := new(atomic.Int64)
-	remaining.Store(int64(len(live)))
-	stops := make([]func() bool, 0, len(live))
-	for _, r := range live {
-		stops = append(stops, context.AfterFunc(r.ctx, func() {
-			if remaining.Add(-1) == 0 {
-				cancel()
-			}
-		}))
-	}
-	return ctx, func() {
-		for _, stop := range stops {
-			stop()
-		}
-		cancel()
-	}
 }

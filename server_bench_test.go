@@ -2,8 +2,8 @@ package sepsp
 
 // Benchmarks for the concurrent serving layer: steady-state allocation
 // counts of the pooled query paths (run with -benchmem; the regression
-// tests in alloc_test.go enforce the bounds) and server throughput with and
-// without wave coalescing.
+// tests in alloc_test.go enforce the bounds) and server throughput under
+// concurrent clients.
 
 import (
 	"context"
@@ -45,56 +45,11 @@ func BenchmarkSSSPTreeSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkSourcesBatchedSteadyState measures a k=8 wave with the pooled
-// k×n working buffer; allocs/op should be k+1.
-func BenchmarkSourcesBatchedSteadyState(b *testing.B) {
-	ix, n := benchIndex(b)
-	srcs := make([]int, 8)
-	for i := range srcs {
-		srcs[i] = (i * 131) % n
-	}
-	ix.SourcesBatched(srcs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ix.SourcesBatched(srcs)
-	}
-}
-
-// BenchmarkServerThroughput drives the batching server with 8 concurrent
-// clients; compare against BenchmarkServerNoBatch to see the coalescing win.
+// BenchmarkServerThroughput drives the server with 8 concurrent clients;
+// each request runs the single-source kernel on its client's goroutine.
 func BenchmarkServerThroughput(b *testing.B) {
 	ix, n := benchIndex(b)
-	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	const clients = 8
-	var wg sync.WaitGroup
-	per := b.N/clients + 1
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := srv.SSSP(context.Background(), (c*997+i*31)%n); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-}
-
-// BenchmarkServerNoBatch is the same load with MaxBatch=1 (every request
-// its own wave) — the baseline the coalescing is measured against.
-func BenchmarkServerNoBatch(b *testing.B) {
-	ix, n := benchIndex(b)
-	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 1})
+	srv, err := NewServer(ix, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -66,3 +66,31 @@ func TestServerCacheHitAllocsWithTelemetry(t *testing.T) {
 		t.Fatalf("instrumented cache-hit SSSP = %.2f allocs/op, budget 2", avg)
 	}
 }
+
+// TestServerMissAllocs pins the uncached serving path: a miss takes a
+// serving slot on the caller's goroutine and runs the pooled single-source
+// kernel, so it allocates the returned distance vector and nothing that
+// grows with the graph — no request struct, reply channel, or wave
+// bookkeeping. The budget is that vector plus one of slack.
+func TestServerMissAllocs(t *testing.T) {
+	ix, n := serverIndex(t)
+	srv, err := NewServer(ix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	if _, err := srv.SSSP(ctx, 0); err != nil { // warm the workspace pool
+		t.Fatal(err)
+	}
+	src := 0
+	avg := testing.AllocsPerRun(100, func() {
+		src = (src + 7) % n
+		if _, err := srv.SSSP(ctx, src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 2 {
+		t.Fatalf("uncached SSSP miss = %.2f allocs/op, budget 2", avg)
+	}
+}

@@ -79,59 +79,84 @@ func TestServerQueriesRacingClose(t *testing.T) {
 	}
 }
 
-// TestServerQueueTimeout holds the dispatcher back (newServer never starts
-// it) so an admitted request must exceed QueueTimeout, then lets the
-// dispatcher drain the dead request and checks it is counted exactly once.
+// TestServerQueueTimeout holds one request in its slot past QueueTimeout
+// while a second waits for the slot: the waiter must give up with
+// ErrQueueTimeout, the held request must stop on its own expired deadline,
+// and each must be counted exactly once as timed out.
 func TestServerQueueTimeout(t *testing.T) {
 	g, _ := gridGraph(t, 4, 4, 25)
 	ix, err := Build(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(ix, &ServerOptions{QueueTimeout: 20 * time.Millisecond})
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{QueueTimeout: 20 * time.Millisecond, Admission: oneSlot, Inject: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gate.open()
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 1)
+		held <- err
+	}()
+	waitFor(t, "the held request", func() bool { return gate.entered.Load() == 1 })
 	if _, err := srv.SSSP(context.Background(), 0); !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("queued past deadline: err = %v, want ErrQueueTimeout", err)
 	}
-	srv.wg.Add(1)
-	go srv.run()
+	gate.open()
+	if err := <-held; !errors.Is(err, ErrQueueTimeout) {
+		t.Fatalf("held past deadline: err = %v, want ErrQueueTimeout", err)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Healthz()
-	if h.TimedOut != 1 || h.Cancelled != 0 {
-		t.Fatalf("TimedOut = %d, Cancelled = %d; want 1, 0", h.TimedOut, h.Cancelled)
+	if h.TimedOut != 2 || h.Cancelled != 0 {
+		t.Fatalf("TimedOut = %d, Cancelled = %d; want 2, 0", h.TimedOut, h.Cancelled)
 	}
 }
 
 // TestServerCancelWhileQueuedCountedOnce mirrors the timeout test with an
-// explicit cancellation: the client observes ctx.Err() and the dispatcher —
-// not the client — counts the abandonment, exactly once.
+// explicit cancellation: the client observes ctx.Err() and the request that
+// later skips the abandoned entry — not the client — counts it, exactly
+// once.
 func TestServerCancelWhileQueuedCountedOnce(t *testing.T) {
 	g, _ := gridGraph(t, 4, 4, 25)
 	ix, err := Build(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := newServer(ix, nil)
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{Admission: oneSlot, Inject: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gate.open()
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 1)
+		held <- err
+	}()
+	waitFor(t, "the held request", func() bool { return gate.entered.Load() == 1 })
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := srv.SSSP(ctx, 0)
 		done <- err
 	}()
-	time.Sleep(time.Millisecond)
+	waitFor(t, "the request to queue", func() bool { return srv.q.Len() == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled while queued: err = %v, want context.Canceled", err)
 	}
-	srv.wg.Add(1)
-	go srv.run()
+	if h := srv.Healthz(); h.Cancelled != 0 {
+		t.Fatalf("Cancelled = %d before the entry was skipped; want 0", h.Cancelled)
+	}
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +164,8 @@ func TestServerCancelWhileQueuedCountedOnce(t *testing.T) {
 	if h.Cancelled != 1 || h.TimedOut != 0 {
 		t.Fatalf("Cancelled = %d, TimedOut = %d; want 1, 0", h.Cancelled, h.TimedOut)
 	}
-	if h.Waves != 0 {
-		t.Fatalf("Waves = %d; a dead request must never join a wave", h.Waves)
+	if h.Waves != 1 {
+		t.Fatalf("Waves = %d; want 1 — a dead request must never run", h.Waves)
 	}
 }
 
@@ -192,7 +217,7 @@ func TestServerHealthzSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 4, MaxInFlight: 32})
+	srv, err := NewServer(ix, &ServerOptions{MaxInFlight: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +230,8 @@ func TestServerHealthzSnapshot(t *testing.T) {
 	if h.Closed || h.Degraded {
 		t.Fatalf("healthy server reported Closed=%v Degraded=%v", h.Closed, h.Degraded)
 	}
-	if h.Requests != 5 || h.Waves == 0 || h.MaxBatch != 4 || h.MaxInFlight != 32 {
-		t.Fatalf("Healthz = %+v; want 5 requests over ≥1 wave with configured limits", h)
+	if h.Requests != 5 || h.Waves != 5 || h.MaxInFlight != 32 {
+		t.Fatalf("Healthz = %+v; want 5 requests, one wave each, with the configured ceiling", h)
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

@@ -3,12 +3,12 @@ package sepsp
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"sepsp/internal/admission"
+	"sepsp/internal/faultinject"
 	"sepsp/internal/obs"
 )
 
@@ -22,89 +22,126 @@ func serverIndex(t testing.TB) (*Index, int) {
 	return ix, grid.G.N()
 }
 
-// TestServerCoalescesWave pre-queues requests on a paused server and starts
-// the dispatcher: every pending request must be served by ONE multi-source
-// wave, with the wave metrics recording it — deterministic regardless of
-// scheduler interleaving or GOMAXPROCS.
-func TestServerCoalescesWave(t *testing.T) {
-	ix, _ := serverIndex(t)
-	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 8, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
+// gateInjector holds every request at the server.wave boundary — inside
+// its serving slot, just before the kernel — until open is called, so a
+// test can pin slots and watch admission decide the next arrival.
+type gateInjector struct {
+	entered atomic.Int64
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGate() *gateInjector { return &gateInjector{release: make(chan struct{})} }
+
+func (g *gateInjector) Fire(site string) faultinject.Fault {
+	if site == faultinject.SiteServerWave {
+		g.entered.Add(1)
+		<-g.release
 	}
-	const k = 5
-	reqs := make([]ssspReq, k)
-	for i := range reqs {
-		reqs[i] = ssspReq{src: i * 7, ctx: context.Background(), resc: make(chan ssspResp, 1)}
-		srv.q.Push(reqs[i], admission.Interactive, 1<<30)
-	}
-	srv.wg.Add(1)
-	go srv.run()
-	for i, r := range reqs {
-		resp := <-r.resc
-		if resp.err != nil {
-			t.Fatalf("request %d: %v", i, resp.err)
+	return faultinject.None
+}
+
+func (g *gateInjector) open() { g.once.Do(func() { close(g.release) }) }
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		want := ix.SSSP(reqs[i].src)
-		for v := range want {
-			if !approxEq(resp.dist[v], want[v]) {
-				t.Fatalf("request %d: dist[%d] = %v want %v", i, v, resp.dist[v], want[v])
-			}
-		}
-	}
-	srv.Close()
-	if waves := ob.CounterValue(obs.MServerWaves); waves != 1 {
-		t.Fatalf("waves = %d, want 1 (all %d requests coalesced)", waves, k)
-	}
-	if count, sum, _ := ob.HistogramStats(obs.MServerWaveSize); count != 1 || sum != k {
-		t.Fatalf("wave size histogram: count=%d sum=%g, want one wave of %d", count, sum, k)
-	}
-	if got := ob.CounterValue(obs.MServerRequests); got != 0 {
-		// Requests were injected directly, bypassing admission: counter
-		// stays 0. (Guards against double counting inside the dispatcher.)
-		t.Fatalf("requests counter = %d, want 0 for injected requests", got)
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestServerMaxBatchSplitsWaves checks a pre-queued backlog larger than
-// MaxBatch is split into ceil(k/MaxBatch) waves, none exceeding the cap.
-func TestServerMaxBatchSplitsWaves(t *testing.T) {
+// oneSlot pins the limiter to a single serving slot, so one held request
+// makes every further admitted request queue.
+var oneSlot = &AdmissionOptions{Initial: 1, Min: 1}
+
+// TestServerRunsRequestsConcurrently: admitted misses run the kernel on
+// their callers' goroutines at the same time. The injector at the request
+// boundary lets nobody through until two requests have entered it, so the
+// test completes only if two requests are inside the serving path at once
+// (a serializing dispatcher would hold the first forever and hit the
+// deadline). Each request is one wave of size 1.
+func TestServerRunsRequestsConcurrently(t *testing.T) {
 	ix, _ := serverIndex(t)
+	both := make(chan struct{})
+	var entered atomic.Int64
+	var late atomic.Bool
+	inj := injectFunc(func(site string) {
+		if site != faultinject.SiteServerWave {
+			return
+		}
+		if entered.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			late.Store(true)
+		}
+	})
 	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 4, Observer: ob})
+	srv, err := NewServer(ix, &ServerOptions{Observer: ob, Inject: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const k = 10
-	reqs := make([]ssspReq, k)
-	for i := range reqs {
-		reqs[i] = ssspReq{src: i, ctx: context.Background(), resc: make(chan ssspResp, 1)}
-		srv.q.Push(reqs[i], admission.Interactive, 1<<30)
+	srcs := []int{3, 77}
+	errs := make([]error, len(srcs))
+	dists := make([][]float64, len(srcs))
+	var wg sync.WaitGroup
+	for i, src := range srcs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dists[i], errs[i] = srv.SSSP(context.Background(), src)
+		}()
 	}
-	srv.wg.Add(1)
-	go srv.run()
-	for i, r := range reqs {
-		if resp := <-r.resc; resp.err != nil {
-			t.Fatalf("request %d: %v", i, resp.err)
+	wg.Wait()
+	srv.Close()
+	if late.Load() {
+		t.Fatal("the two requests never ran at the same time")
+	}
+	for i, src := range srcs {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		want := ix.SSSP(src)
+		for v := range want {
+			if dists[i][v] != want[v] {
+				t.Fatalf("request %d: dist[%d] = %v want %v", i, v, dists[i][v], want[v])
+			}
 		}
 	}
-	srv.Close()
-	if waves := ob.CounterValue(obs.MServerWaves); waves != 3 {
-		t.Fatalf("waves = %d, want 3 (= ceil(10/4))", waves)
+	if waves := ob.CounterValue(obs.MServerWaves); waves != 2 {
+		t.Fatalf("waves = %d, want 2 (one per request)", waves)
 	}
-	if count, sum, mean := ob.HistogramStats(obs.MServerWaveSize); sum != k || mean > 4 {
-		t.Fatalf("wave histogram count=%d sum=%g mean=%g, want sum=%d mean<=4", count, sum, mean, k)
+	if count, sum, _ := ob.HistogramStats(obs.MServerWaveSize); count != 2 || sum != 2 {
+		t.Fatalf("wave size histogram: count=%d sum=%g, want two waves of 1", count, sum)
 	}
+	if got := ob.CounterValue(obs.MServerRequests); got != 2 {
+		t.Fatalf("requests counter = %d, want 2", got)
+	}
+}
+
+// injectFunc adapts a function to faultinject.Injector.
+type injectFunc func(site string)
+
+func (f injectFunc) Fire(site string) faultinject.Fault {
+	f(site)
+	return faultinject.None
 }
 
 // TestServerConcurrentClients runs a live server under concurrent clients
 // and verifies every answer; with the metrics registry attached, the
-// request counter must equal the served total and wave sizes must sum to it.
+// request and wave counters must both equal the served total, and every
+// wave has size exactly 1.
 func TestServerConcurrentClients(t *testing.T) {
 	ix, n := serverIndex(t)
 	ob := NewObserver()
-	srv, err := NewServer(ix, &ServerOptions{MaxBatch: 8, Observer: ob})
+	srv, err := NewServer(ix, &ServerOptions{Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,76 +177,138 @@ func TestServerConcurrentClients(t *testing.T) {
 	if got := ob.CounterValue(obs.MServerRequests); got != total {
 		t.Fatalf("requests counter = %d, want %d", got, total)
 	}
+	if waves := ob.CounterValue(obs.MServerWaves); waves != total {
+		t.Fatalf("waves = %d, want %d", waves, total)
+	}
 	if _, sum, _ := ob.HistogramStats(obs.MServerWaveSize); int64(sum) != total {
 		t.Fatalf("wave sizes sum to %g, want %d", sum, total)
 	}
-	if waves := ob.CounterValue(obs.MServerWaves); waves <= 0 || waves > total {
-		t.Fatalf("waves = %d, want in (0, %d]", waves, total)
+	for _, q := range []float64{0.5, 0.99} {
+		if got := ob.HistogramQuantile(obs.MServerWaveSize, q); got != 1 {
+			t.Fatalf("wave size p%g = %g, want 1 (every wave has one request)", q*100, got)
+		}
 	}
 }
 
-// TestServerAdmissionLimit fills a paused server's queue to MaxInFlight and
-// checks the next request is refused with ErrServerOverloaded and counted.
+// TestServerAdmissionLimit holds MaxInFlight requests in their slots and
+// checks the next request is refused with ErrServerOverloaded and counted,
+// and that admission resumes once the slots free up.
 func TestServerAdmissionLimit(t *testing.T) {
 	ix, _ := serverIndex(t)
 	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 2, MaxInFlight: 3, Observer: ob})
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{MaxInFlight: 3, Observer: ob, Inject: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dispatcher not running: sends queue up to capacity.
-	reqs := make([]ssspReq, 3)
-	for i := range reqs {
-		reqs[i] = ssspReq{src: i, ctx: context.Background(), resc: make(chan ssspResp, 1)}
-		srv.q.Push(reqs[i], admission.Interactive, 1<<30)
+	defer srv.Close()
+	defer gate.open()
+	held := make(chan error, 3)
+	for i := 0; i < 3; i++ {
+		go func(src int) {
+			_, err := srv.SSSP(context.Background(), src)
+			held <- err
+		}(i)
 	}
+	waitFor(t, "three held requests", func() bool { return gate.entered.Load() == 3 })
 	if _, err := srv.SSSP(context.Background(), 0); !errors.Is(err, ErrServerOverloaded) {
-		t.Fatalf("overfull queue: err = %v, want ErrServerOverloaded", err)
+		t.Fatalf("full server: err = %v, want ErrServerOverloaded", err)
 	}
 	if got := ob.CounterValue(obs.MServerRejected); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
-	// Draining the queue restores admission.
-	srv.wg.Add(1)
-	go srv.run()
-	for _, r := range reqs {
-		<-r.resc
+	gate.open()
+	for i := 0; i < 3; i++ {
+		if err := <-held; err != nil {
+			t.Fatalf("held request: %v", err)
+		}
 	}
 	if _, err := srv.SSSP(context.Background(), 1); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
-	srv.Close()
 }
 
-// TestServerCancelledWhileQueued checks a request whose context dies before
-// its wave is answered with the context error, never served, and counted.
+// TestServerCancelledWhileQueued checks a request whose context dies while
+// it waits for a slot is answered with the context error, never served,
+// and counted once — while the request queued behind it is still served.
 func TestServerCancelledWhileQueued(t *testing.T) {
 	ix, _ := serverIndex(t)
 	ob := NewObserver()
-	srv, err := newServer(ix, &ServerOptions{MaxBatch: 4, Observer: ob})
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{MaxInFlight: 3, Admission: oneSlot, Observer: ob, Inject: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gate.open()
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 2)
+		held <- err
+	}()
+	waitFor(t, "the held request", func() bool { return gate.entered.Load() == 1 })
+
 	ctx, cancel := context.WithCancel(context.Background())
+	dead := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(ctx, 0)
+		dead <- err
+	}()
+	waitFor(t, "the doomed request to queue", func() bool { return srv.q.Len() == 1 })
+	live := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 1)
+		live <- err
+	}()
+	waitFor(t, "the live request to queue", func() bool { return srv.q.Len() == 2 })
 	cancel()
-	dead := ssspReq{src: 0, ctx: ctx, resc: make(chan ssspResp, 1)}
-	live := ssspReq{src: 1, ctx: context.Background(), resc: make(chan ssspResp, 1)}
-	srv.q.Push(dead, admission.Interactive, 1<<30)
-	srv.q.Push(live, admission.Interactive, 1<<30)
-	srv.wg.Add(1)
-	go srv.run()
-	if resp := <-dead.resc; !errors.Is(resp.err, context.Canceled) {
-		t.Fatalf("dead request: err = %v, want context.Canceled", resp.err)
+	if err := <-dead; !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead request: err = %v, want context.Canceled", err)
 	}
-	if resp := <-live.resc; resp.err != nil {
-		t.Fatalf("live request: %v", resp.err)
+	gate.open()
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if err := <-live; err != nil {
+		t.Fatalf("live request: %v", err)
 	}
 	srv.Close()
 	if got := ob.CounterValue(obs.MServerCancelled); got != 1 {
 		t.Fatalf("cancelled counter = %d, want 1", got)
 	}
-	if _, sum, _ := ob.HistogramStats(obs.MServerWaveSize); sum != 1 {
-		t.Fatalf("wave sizes sum to %g, want 1 (dead request must not join the wave)", sum)
+	if _, sum, _ := ob.HistogramStats(obs.MServerWaveSize); sum != 2 {
+		t.Fatalf("wave sizes sum to %g, want 2 (the dead request must never run)", sum)
+	}
+}
+
+// TestServerCancelAbandonsRunningRequest: a request whose context ends
+// while it holds a slot stops within one phase, answers with the context
+// error, is counted once as cancelled, and frees its slot.
+func TestServerCancelAbandonsRunningRequest(t *testing.T) {
+	ix, _ := serverIndex(t)
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{Inject: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(ctx, 0)
+		done <- err
+	}()
+	waitFor(t, "the request to hold its slot", func() bool { return gate.entered.Load() == 1 })
+	cancel()
+	gate.open()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled running request: err = %v, want context.Canceled", err)
+	}
+	h := srv.Healthz()
+	if h.Cancelled != 1 || h.Waves != 0 {
+		t.Fatalf("Cancelled = %d, Waves = %d; want 1, 0", h.Cancelled, h.Waves)
+	}
+	if _, err := srv.SSSP(context.Background(), 1); err != nil {
+		t.Fatalf("slot not freed: %v", err)
 	}
 }
 
@@ -231,8 +330,8 @@ func TestServerClosed(t *testing.T) {
 	srv.Close() // idempotent
 }
 
-// TestServerDist covers both Dist paths: via a batched SSSP wave, and via
-// the hub-label oracle once BuildOracle has run.
+// TestServerDist covers both Dist paths: via an SSSP request, and via the
+// hub-label oracle once BuildOracle has run.
 func TestServerDist(t *testing.T) {
 	ix, n := serverIndex(t)
 	srv, err := NewServer(ix, nil)
@@ -247,7 +346,7 @@ func TestServerDist(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !approxEq(got, want) {
-		t.Fatalf("Dist (wave path) = %v want %v", got, want)
+		t.Fatalf("Dist (request path) = %v want %v", got, want)
 	}
 	if _, err := ix.BuildOracle(); err != nil {
 		t.Fatal(err)
@@ -264,8 +363,8 @@ func TestServerDist(t *testing.T) {
 // TestServerBadInput checks vertex validation and option validation.
 func TestServerBadInput(t *testing.T) {
 	ix, n := serverIndex(t)
-	if _, err := NewServer(ix, &ServerOptions{MaxBatch: -1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("negative MaxBatch: err = %v, want ErrBadOptions", err)
+	if _, err := NewServer(ix, &ServerOptions{MaxInFlight: -1}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("negative MaxInFlight: err = %v, want ErrBadOptions", err)
 	}
 	srv, err := NewServer(ix, nil)
 	if err != nil {
@@ -277,82 +376,5 @@ func TestServerBadInput(t *testing.T) {
 	}
 	if _, err := srv.Dist(context.Background(), 0, -1); !errors.Is(err, ErrBadOptions) {
 		t.Fatalf("out-of-range dst: err = %v, want ErrBadOptions", err)
-	}
-}
-
-// leakCtx is a minimal non-stdlib Context implementation. context.AfterFunc
-// cannot see inside it, so it must spawn one watcher goroutine per AfterFunc
-// registration — which is exactly what makes watcher leaks observable.
-type leakCtx struct{ done chan struct{} }
-
-func (c *leakCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *leakCtx) Done() <-chan struct{}       { return c.done }
-func (c *leakCtx) Value(any) any               { return nil }
-func (c *leakCtx) Err() error {
-	select {
-	case <-c.done:
-		return context.Canceled
-	default:
-		return nil
-	}
-}
-
-func TestWaveContextDetachReleasesWatchers(t *testing.T) {
-	const n = 64
-	base := runtime.NumGoroutine()
-	reqs := make([]ssspReq, n)
-	for i := range reqs {
-		reqs[i] = ssspReq{ctx: &leakCtx{done: make(chan struct{})}, src: i}
-	}
-	ctx, detach := waveContext(reqs)
-	// The member contexts are opaque, so each AfterFunc registration runs a
-	// watcher goroutine. Confirm they actually spawned — otherwise the leak
-	// assertion below would pass vacuously.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() < base+n {
-		if time.Now().After(deadline) {
-			t.Fatalf("watchers never spawned: %d goroutines, want ≥ %d", runtime.NumGoroutine(), base+n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	detach()
-	detach() // idempotent: the deferred + eager double call in serveWave
-	// With the member contexts never cancelled, only detach can release the
-	// watchers. Poll: goroutine exit is asynchronous after AfterFunc stop.
-	for runtime.NumGoroutine() > base+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines after detach: %d, want ≤ %d — AfterFunc watchers leaked",
-				runtime.NumGoroutine(), base+2)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-ctx.Done():
-	default:
-		t.Fatal("wave context not cancelled by detach")
-	}
-}
-
-func TestWaveContextCancelsAfterAllMembersEnd(t *testing.T) {
-	members := make([]*leakCtx, 3)
-	reqs := make([]ssspReq, 3)
-	for i := range reqs {
-		members[i] = &leakCtx{done: make(chan struct{})}
-		reqs[i] = ssspReq{ctx: members[i], src: i}
-	}
-	ctx, detach := waveContext(reqs)
-	defer detach()
-	for i, m := range members {
-		select {
-		case <-ctx.Done():
-			t.Fatalf("wave cancelled with member %d still live", i)
-		default:
-		}
-		close(m.done)
-	}
-	select {
-	case <-ctx.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("wave context never cancelled after every member ended")
 	}
 }

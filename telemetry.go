@@ -23,7 +23,7 @@ type TelemetryOptions struct {
 }
 
 // Telemetry is the live serving telemetry registry: lock-free counters,
-// latency histograms with phase breakdown (queue wait vs wave compute),
+// latency histograms with phase breakdown (queue wait vs compute),
 // and a flight recorder of the most recent events. Attach one to a Server
 // via ServerOptions.Telemetry and expose it with Handler:
 //
@@ -52,7 +52,7 @@ type Telemetry struct {
 
 	// Query-path pruning families: the schedule phases and edge
 	// relaxations the convergence early exit proved redundant across
-	// served waves (executed + avoided always equals the static schedule
+	// served requests (executed + avoided always equals the static schedule
 	// cost, so the pruning rate is auditable from the exposition alone).
 	qSkipPhases *live.Counter
 	qSkipWork   *live.Counter
@@ -79,9 +79,9 @@ type Telemetry struct {
 	cacheBytes  *live.Counter
 	cacheShared *live.Counter
 
-	queueWait   *live.Histogram // seconds queued: admission → wave start
-	computeTime *live.Histogram // seconds of shared wave compute
-	waveSize    *live.Histogram // live requests per executed wave
+	queueWait   *live.Histogram // seconds queued: admission → serving slot
+	computeTime *live.Histogram // seconds the request's own query ran
+	waveSize    *live.Histogram // requests per served wave: always 1
 	rebuildTime *live.Histogram // seconds per reweighting rebuild attempt
 
 	mu      sync.Mutex
@@ -126,13 +126,13 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	t.degradedQ = reg.Counter("sepsp_server_degraded_queries_total",
 		"Queries served while the index was degraded to the baseline fallback engine.", "")
 	t.waves = reg.Counter("sepsp_server_waves_total",
-		"Executed coalesced waves.", "")
+		"Served requests; each is one wave of size 1.", "")
 	t.backoffs = reg.Counter("sepsp_retry_backoffs_total",
 		"Overload retries slept by sepsp.Retry.", "")
 	t.qSkipPhases = reg.Counter("sepsp_query_phases_skipped_total",
-		"Schedule phases skipped by the query convergence early exit, summed over wave lanes.", "")
+		"Schedule phases skipped by the query convergence early exit, summed over served requests.", "")
 	t.qSkipWork = reg.Counter("sepsp_query_relaxations_avoided_total",
-		"Edge relaxations avoided by the query convergence early exit across served waves.", "")
+		"Edge relaxations avoided by the query convergence early exit across served requests.", "")
 	t.fbEngaged = reg.Counter("sepsp_fallback_engaged_total",
 		"Degradation causes observed by the baseline fallback engine.", "")
 	t.fbQueries = reg.Counter("sepsp_fallback_queries_total",
@@ -142,7 +142,7 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	t.rebuildFails = reg.Counter("sepsp_index_rebuild_failures_total",
 		"Reweighting rebuilds that failed or panicked (old epoch kept serving).", "")
 	t.cacheHits = reg.Counter("sepsp_cache_hits_total",
-		"Queries answered from a cached distance vector (no admission, no wave).", "")
+		"Queries answered from a cached distance vector (no admission, no query).", "")
 	t.cacheMisses = reg.Counter("sepsp_cache_misses_total",
 		"Cache misses that became single-flight leaders and computed a fresh vector.", "")
 	t.cacheEvicts = reg.Counter("sepsp_cache_evictions_total",
@@ -154,11 +154,11 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	t.rebuildTime = reg.Histogram("sepsp_index_rebuild_duration_seconds",
 		"Seconds one reweighting rebuild attempt took, successful or not.", "")
 	t.queueWait = reg.Histogram("sepsp_server_queue_wait_seconds",
-		"Seconds a request spent queued, from admission to its wave starting.", "")
+		"Seconds a request spent queued, from admission to taking a serving slot.", "")
 	t.computeTime = reg.Histogram("sepsp_server_compute_seconds",
-		"Seconds of shared compute for the wave that served the request.", "")
+		"Seconds the request's own query ran.", "")
 	t.waveSize = reg.Histogram("sepsp_server_wave_size",
-		"Live requests coalesced into one executed wave.", "")
+		"Requests per served wave: always 1, each request is served on its own.", "")
 	return t
 }
 
@@ -183,7 +183,7 @@ func (t *Telemetry) attach(s *Server) {
 
 	slbl := fmt.Sprintf(`server="%d"`, sid)
 	t.reg.GaugeFunc("sepsp_server_queue_depth",
-		"Requests currently queued for a wave.", slbl,
+		"Requests currently queued for a serving slot.", slbl,
 		func() float64 { return float64(s.q.Len()) })
 	t.reg.GaugeFunc("sepsp_server_max_in_flight",
 		"Configured admission hard ceiling (MaxInFlight).", slbl,
@@ -193,7 +193,7 @@ func (t *Telemetry) attach(s *Server) {
 		func() float64 { return float64(s.effectiveLimit()) })
 	t.reg.GaugeFunc("sepsp_admission_inflight",
 		"Requests admitted and not yet decided (queued + being served).", slbl,
-		func() float64 { return float64(s.q.Len() + int(s.serving.Load())) })
+		func() float64 { return float64(s.inFlight()) })
 	t.reg.GaugeFunc("sepsp_server_brownout_active",
 		"1 while brownout mode is engaged (low-priority queries answered degraded).", slbl,
 		func() float64 {
@@ -310,8 +310,9 @@ func (t *Telemetry) recordQuery(out live.Outcome, src int, wave int64, queueNano
 	})
 }
 
-// recordWave records one executed coalesced wave, including how much of
-// the static schedule cost the convergence pruning avoided (0/0 for waves
+// recordWave records one served request as a wave of size batch (1),
+// including how much of the static schedule cost the convergence pruning
+// avoided (0/0 for requests
 // served degraded — the fallback engine has no schedule to prune).
 func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch uint64, degraded bool, skippedPhases, avoidedWork int64) {
 	t.waves.Inc()
@@ -348,7 +349,7 @@ func (t *Telemetry) recordCacheHit(src int, epoch uint64) {
 
 // recordCacheMiss records one cache miss that led this request through the
 // admission path as a single-flight leader. Ring event only: the serving
-// wave counts the query's outcome when it is decided.
+// request counts the query's outcome when it is decided.
 func (t *Telemetry) recordCacheMiss(src int, epoch uint64) {
 	t.rec.Record(live.Event{
 		Time:    live.Now(),
@@ -360,7 +361,7 @@ func (t *Telemetry) recordCacheMiss(src int, epoch uint64) {
 }
 
 // recordShed records a request shed at admission (refused or evicted); it
-// was not served by a wave, so only the outcome and per-priority counters
+// was never served, so only the outcome and per-priority counters
 // and the flight recorder see it.
 func (t *Telemetry) recordShed(src int, epoch uint64, cls admission.Class) {
 	t.queries[live.OutcomeShed].Inc()

@@ -151,18 +151,18 @@ func TestTelemetryFlightRecorderCapturesFailure(t *testing.T) {
 	}
 }
 
-// TestTelemetryShedAndBackoff fills the admission cap on a held dispatcher
+// TestTelemetryShedAndBackoff holds MaxInFlight requests in their slots
 // so further requests shed, then checks the shed outcome and Retry's
 // backoff counter are recorded.
 func TestTelemetryShedAndBackoff(t *testing.T) {
 	ix, _ := serverIndex(t)
 	tel := NewTelemetry(nil)
-	// newServer (unexported) does not start the dispatcher, so admitted
-	// requests stay queued and the cap fills deterministically.
-	srv, err := newServer(ix, &ServerOptions{MaxInFlight: 2, Telemetry: tel})
+	gate := newGate()
+	srv, err := NewServer(ix, &ServerOptions{MaxInFlight: 2, Telemetry: tel, Inject: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer gate.open()
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -172,9 +172,7 @@ func TestTelemetryShedAndBackoff(t *testing.T) {
 			_, _ = srv.SSSP(ctx, i)
 		}(i)
 	}
-	for srv.q.Len() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "two held requests", func() bool { return gate.entered.Load() == 2 })
 	retry := &RetryOptions{
 		MaxAttempts: 3,
 		Seed:        1,
@@ -189,6 +187,7 @@ func TestTelemetryShedAndBackoff(t *testing.T) {
 		t.Fatalf("err = %v, want ErrServerOverloaded", err)
 	}
 	cancel()
+	gate.open()
 	wg.Wait()
 	srv.Close()
 	if got := tel.reg.CounterValue("sepsp_retry_backoffs_total"); got != 2 {
@@ -272,7 +271,6 @@ func TestServerHealthGolden(t *testing.T) {
 		Rebuilding:  true,
 		QueueDepth:  3,
 		MaxInFlight: 128,
-		MaxBatch:    16,
 		Requests:    1000,
 		Rejected:    7,
 		Cancelled:   2,
@@ -304,7 +302,7 @@ func TestServerHealthGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("ServerHealth JSON drifted from golden file %s:\n got: %s\nwant: %s", golden, got, want)
 	}
-	wantStr := "closed=false degraded=true epoch=42 rebuilding=true queue=3/128 maxBatch=16 requests=1000 rejected=7 cancelled=2 timedout=1 waves=90 panics=1 limit=64 brownout=true brownouts=5 evicted=3 cacheHits=200 cacheMisses=12 cacheShared=40 cacheEvictions=4 cacheBytes=32768"
+	wantStr := "closed=false degraded=true epoch=42 rebuilding=true queue=3/128 requests=1000 rejected=7 cancelled=2 timedout=1 waves=90 panics=1 limit=64 brownout=true brownouts=5 evicted=3 cacheHits=200 cacheMisses=12 cacheShared=40 cacheEvictions=4 cacheBytes=32768"
 	if s := h.String(); s != wantStr {
 		t.Fatalf("String() = %q\n     want %q", s, wantStr)
 	}
@@ -314,7 +312,7 @@ func TestServerHealthGolden(t *testing.T) {
 // scrapes and flight-recorder reads — the -race proof that the lock-free
 // registry and ring are safe to scrape while serving.
 func TestTelemetryScrapeStress(t *testing.T) {
-	tel, srv, n := telemetryServer(t, &ServerOptions{MaxBatch: 8})
+	tel, srv, n := telemetryServer(t, nil)
 	h := tel.Handler()
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -384,11 +382,11 @@ func TestServerDisabledTelemetryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The serving path allocates the request struct, reply channel, wave
-	// bookkeeping, and the result slice handed to the caller; 16 covers it
-	// with slack for scheduler noise. What this test pins is that the
-	// disabled-telemetry branches (s.tel == nil, s.logger == nil) stay
-	// allocation-free: instrumenting this path must not move the number.
+	// The serving path allocates the result slice handed to the caller
+	// (TestServerMissAllocs pins that budget); 16 leaves slack for
+	// scheduler noise. What this test pins is that the disabled-telemetry
+	// branches (s.tel == nil, s.logger == nil) stay allocation-free:
+	// instrumenting this path must not move the number.
 	if avg > 16 {
 		t.Fatalf("disabled-telemetry SSSP = %.1f allocs/op, budget 16", avg)
 	}
