@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet race chaos serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot perfbench-check staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,13 @@ api-check:
 api-snapshot:
 	$(GO) run ./cmd/apicheck -pkg . -snapshot api/sepsp.txt -write
 
+# perfbench-check vets and tests the serving benchmark (perfbench/, its own
+# module compiled against this one's internal packages), so a refactor of
+# internal/core, internal/separator, internal/baseline or internal/graph
+# cannot break the benchmark build unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # staticcheck and govulncheck run as part of `make check` when the tools
 # are on PATH. The development container does not bundle them (and policy
 # forbids installing ad hoc), so locally an absent tool prints a skip
@@ -89,7 +96,7 @@ govulncheck:
 
 # check is the tier-1 gate (see README): everything must pass before a
 # change lands.
-check: vet api-check staticcheck govulncheck test race
+check: vet api-check perfbench-check staticcheck govulncheck test race
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

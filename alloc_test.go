@@ -6,7 +6,10 @@ package sepsp
 // -race because the race detector instruments allocations and inflates the
 // counts; `make check` still runs them in the plain test pass.
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestSSSPSteadyStateAllocs locks in the zero-scratch query path: after
 // warmup, one SSSP call may allocate at most its result slice plus one —
@@ -17,8 +20,9 @@ func TestSSSPSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SSSP(0) // warm the engine's workspace pool
-	if avg := testing.AllocsPerRun(50, func() { _ = ix.SSSP(1) }); avg > 2 {
+	ctx := context.Background()
+	querySSSP(t, ix, 0) // warm the engine's workspace pool
+	if avg := testing.AllocsPerRun(50, func() { _, _ = ix.SSSPContext(ctx, 1) }); avg > 2 {
 		t.Fatalf("SSSP allocates %.1f objects per call, want <= 2", avg)
 	}
 }

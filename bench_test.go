@@ -169,18 +169,6 @@ func BenchmarkReachQueryGrid16384(b *testing.B) {
 	}
 }
 
-func BenchmarkQueryScheduledParallelGrid16384(b *testing.B) {
-	wl := benchWorkload(b, 0.5, 16384)
-	eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{Ex: pram.NewExecutor(-1)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.SSSPParallel(i%wl.G.N(), nil)
-	}
-}
-
 func BenchmarkOracleBuildGrid4096(b *testing.B) {
 	wl := benchWorkload(b, 0.5, 4096)
 	eng, err := core.NewEngine(wl.G, wl.Tree, core.Config{})
@@ -293,11 +281,14 @@ func BenchmarkSSSPHot(b *testing.B) {
 				b.Fatal(err)
 			}
 			src := g.N() / 2
-			ix.SSSP(src) // warm the workspace pool
+			ctx := context.Background()
+			querySSSP(b, ix, src) // warm the workspace pool
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = ix.SSSP(src)
+				if _, err := ix.SSSPContext(ctx, src); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

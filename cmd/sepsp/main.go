@@ -317,7 +317,11 @@ func runCommand(w *bufio.Writer, ix *sepsp.Index, dg *graph.Digraph, cmd string,
 	case "stats":
 		printStats(w, ix, dg)
 	case "sssp":
-		for v, d := range ix.SSSP(src) {
+		dist, err := ix.SSSPContext(context.Background(), src)
+		if err != nil {
+			return fail(err)
+		}
+		for v, d := range dist {
 			fmt.Fprintf(w, "%d %g\n", v, d)
 		}
 	case "path":
@@ -363,7 +367,10 @@ func runCommand(w *bufio.Writer, ix *sepsp.Index, dg *graph.Digraph, cmd string,
 			}
 			srcs = append(srcs, v)
 		}
-		rows := ix.Sources(srcs)
+		rows, err := ix.SourcesContext(context.Background(), srcs)
+		if err != nil {
+			return fail(err)
+		}
 		for i, s := range srcs {
 			for v, d := range rows[i] {
 				fmt.Fprintf(w, "%d %d %g\n", s, v, d)

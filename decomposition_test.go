@@ -68,7 +68,7 @@ func TestDeprecatedHintsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := old.SSSP(0), typed.SSSP(0)
+	a, b := querySSSP(t, old, 0), querySSSP(t, typed, 0)
 	for v := range a {
 		if !approxEq(a[v], b[v]) {
 			t.Fatalf("dist[%d]: legacy %v vs typed %v", v, a[v], b[v])
@@ -118,7 +118,7 @@ func TestWithWeightsSkeletonMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := ix.SSSP(0), ix2.SSSP(0)
+	a, b := querySSSP(t, ix, 0), querySSSP(t, ix2, 0)
 	for v := range a {
 		if !approxEq(2*a[v], b[v]) {
 			t.Fatalf("reweighted dist[%d] = %v, want %v", v, b[v], 2*a[v])

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -73,7 +74,10 @@ func main() {
 	robots := []int{cell(0, 0), cell(39, 24), cell(0, 24), cell(39, 0)}
 	picks := []int{cell(15, 12), cell(25, 3), cell(35, 20)}
 
-	rows := ix.Sources(robots) // one SSSP per robot, in parallel
+	rows, err := ix.SourcesContext(context.Background(), robots) // one SSSP per robot, in parallel
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("robot → pick travel costs:")
 	for i, r := range robots {
 		for _, p := range picks {

@@ -90,25 +90,18 @@ func (c *cqueue[T]) popYoungest() T {
 // the victim is the *youngest* item of the lowest non-empty class, the one
 // that has invested the least waiting time.
 //
-// Items leave either through TryPop, which any goroutine may call (the
-// server's finishing requests hand their slot to the next waiter this
-// way), or through PopWait, which serves a single blocking consumer. All
+// Items leave through TryPop, which any goroutine may call (the server's
+// finishing requests hand their slot to the next waiter this way). All
 // methods are safe for concurrent use.
 type Queue[T any] struct {
 	mu      sync.Mutex
 	classes [NumClasses]cqueue[T]
 	size    int
 	closed  bool
-	// wake is a 1-buffered signal to the single consumer; it never closes
-	// (Close signals through it instead), so producers can always do a
-	// non-blocking send.
-	wake chan struct{}
 }
 
 // NewQueue returns an empty open queue.
-func NewQueue[T any]() *Queue[T] {
-	return &Queue[T]{wake: make(chan struct{}, 1)}
-}
+func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
 
 // Push offers item for admission under the given queue budget (the number
 // of items that may be queued right now — the caller derives it from the
@@ -132,7 +125,6 @@ func (q *Queue[T]) Push(item T, c Class, budget int) (PushResult, T) {
 		q.classes[c].push(item)
 		q.size++
 		q.mu.Unlock()
-		q.signal()
 		return Admitted, zero
 	}
 	// Shed from the back: walk classes less important than the arrival,
@@ -145,19 +137,10 @@ func (q *Queue[T]) Push(item T, c Class, budget int) (PushResult, T) {
 		victim := q.classes[victimClass].popYoungest()
 		q.classes[c].push(item)
 		q.mu.Unlock()
-		q.signal()
 		return AdmittedEvicted, victim
 	}
 	q.mu.Unlock()
 	return Rejected, zero
-}
-
-// signal nudges the consumer; the 1-buffer coalesces bursts.
-func (q *Queue[T]) signal() {
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
 }
 
 // TryPop removes the next item in serve order (class order, FIFO within a
@@ -179,26 +162,6 @@ func (q *Queue[T]) popLocked() (item T, c Class, ok bool) {
 	return zero, 0, false
 }
 
-// PopWait blocks until an item is available (returning it in serve order)
-// or the queue is closed AND drained, which is the consumer's signal to
-// exit. Single-consumer only.
-func (q *Queue[T]) PopWait() (item T, c Class, ok bool) {
-	for {
-		q.mu.Lock()
-		if item, c, ok = q.popLocked(); ok {
-			q.mu.Unlock()
-			return item, c, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			var zero T
-			return zero, 0, false
-		}
-		q.mu.Unlock()
-		<-q.wake
-	}
-}
-
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int {
 	q.mu.Lock()
@@ -216,17 +179,13 @@ func (q *Queue[T]) LenClass(c Class) int {
 	return q.classes[c].len()
 }
 
-// Close stops admission. Items already queued remain poppable — the
-// consumer drains them before PopWait reports closed. Returns true on the
-// first call.
+// Close stops admission. Items already queued remain poppable through
+// TryPop. Returns true on the first call.
 func (q *Queue[T]) Close() bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	first := !q.closed
 	q.closed = true
-	q.mu.Unlock()
-	if first {
-		q.signal()
-	}
 	return first
 }
 

@@ -1,9 +1,9 @@
 package admission
 
 import (
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestQueueServeOrder(t *testing.T) {
@@ -93,53 +93,14 @@ func TestQueueCloseDrains(t *testing.T) {
 		t.Fatalf("push after close = %v, want Closed", res)
 	}
 	// Queued items remain poppable.
-	if v, _, ok := q.PopWait(); !ok || v != 1 {
-		t.Fatalf("PopWait = (%d, %v), want (1, true)", v, ok)
+	if v, _, ok := q.TryPop(); !ok || v != 1 {
+		t.Fatalf("TryPop = (%d, %v), want (1, true)", v, ok)
 	}
-	if v, _, ok := q.PopWait(); !ok || v != 2 {
-		t.Fatalf("PopWait = (%d, %v), want (2, true)", v, ok)
+	if v, _, ok := q.TryPop(); !ok || v != 2 {
+		t.Fatalf("TryPop = (%d, %v), want (2, true)", v, ok)
 	}
-	if _, _, ok := q.PopWait(); ok {
-		t.Fatal("PopWait after drain of a closed queue should report !ok")
-	}
-}
-
-func TestQueuePopWaitBlocksUntilPush(t *testing.T) {
-	q := NewQueue[int]()
-	got := make(chan int, 1)
-	go func() {
-		v, _, ok := q.PopWait()
-		if ok {
-			got <- v
-		}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the consumer park
-	q.Push(42, Batch, 10)
-	select {
-	case v := <-got:
-		if v != 42 {
-			t.Fatalf("PopWait woke with %d, want 42", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("PopWait did not wake on Push")
-	}
-}
-
-func TestQueuePopWaitWakesOnClose(t *testing.T) {
-	q := NewQueue[int]()
-	done := make(chan struct{})
-	go func() {
-		_, _, ok := q.PopWait()
-		if !ok {
-			close(done)
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("PopWait did not wake on Close")
+	if _, _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop after drain of a closed queue should report !ok")
 	}
 }
 
@@ -160,12 +121,20 @@ func TestQueueConcurrentProducers(t *testing.T) {
 	go func() {
 		n := 0
 		for {
-			_, _, ok := q.PopWait()
-			if !ok {
+			if _, _, ok := q.TryPop(); ok {
+				n++
+				continue
+			}
+			// Close follows the last Push, so once the queue reports
+			// closed, an empty TryPop means it is drained.
+			if q.IsClosed() {
+				for _, _, ok := q.TryPop(); ok; _, _, ok = q.TryPop() {
+					n++
+				}
 				drained <- n
 				return
 			}
-			n++
+			runtime.Gosched()
 		}
 	}()
 	wg.Wait()

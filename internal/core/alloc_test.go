@@ -12,15 +12,15 @@ import (
 	"sepsp/internal/graph/gen"
 )
 
-// TestSSSPParallelSteadyStateAllocs pins the pooled parallel query: the
-// atomic cell buffer comes from the engine workspace pool and the worker
-// closure is cached in it, so after warmup a call allocates only the
-// returned distance slice (plus one for slack).
-func TestSSSPParallelSteadyStateAllocs(t *testing.T) {
+// TestSSSPSteadyStateAllocs pins the uninstrumented phase loop: its
+// trackers come from the engine workspace pool and it builds no closures,
+// so after warmup a query allocates only the returned distance slice (plus
+// one for slack).
+func TestSSSPSteadyStateAllocs(t *testing.T) {
 	eng, _ := buildGridEngine(t, []int{12, 12}, gen.UniformWeights(0.5, 2), 9, Config{})
-	eng.SSSPParallel(0, nil) // warm the workspace pool
-	if avg := testing.AllocsPerRun(50, func() { _ = eng.SSSPParallel(1, nil) }); avg > 2 {
-		t.Fatalf("SSSPParallel allocates %.1f objects per call, want <= 2", avg)
+	eng.SSSP(0, nil) // warm the workspace pool
+	if avg := testing.AllocsPerRun(50, func() { _ = eng.SSSP(1, nil) }); avg > 2 {
+		t.Fatalf("SSSP allocates %.1f objects per call, want <= 2", avg)
 	}
 }
 

@@ -73,25 +73,19 @@ type Engine struct {
 }
 
 // queryWS is the reusable per-query scratch handed out by the engine's
-// pool: an int queue for tight-tree BFS, the atomic cell buffer for
-// SSSPParallel with its cached executor closure, and the sequential
-// executor's convergence-pruning trackers. Only scratch that never escapes
-// a query is pooled — result slices returned to callers are always freshly
-// allocated.
+// pool: an int queue for tight-tree BFS and the query's convergence-pruning
+// trackers. Only scratch that never escapes a query is pooled — result
+// slices returned to callers are always freshly allocated.
 type queryWS struct {
 	queue []int
-	cells []uint64
 
-	// Convergence-pruning scratch of the sequential executor: prevT is
-	// the run-delta tracker (per global run slot, the head distance at the
-	// run's last relaxation), blockDirty the ℓ-block frontier flags (one
-	// per 64-run block of the eAll bucket, plus the dummy slot for
-	// vertices heading no original edge). See relaxEAllBlocks.
+	// Convergence-pruning scratch: prevT is the run-delta tracker (per
+	// global run slot, the head distance at the run's last relaxation),
+	// blockDirty the ℓ-block frontier flags (one per eAllBlockRuns-run
+	// block of the eAll bucket, plus the dummy slot for vertices heading
+	// no original edge). See relaxEAllBlocks.
 	prevT      []float64
 	blockDirty []bool
-
-	pst parallelState
-	pfn func(lo, hi int) // cached closure over &pst (run partition body)
 }
 
 // growPrev returns the run-delta tracker for n runs, every entry reset to
@@ -120,22 +114,6 @@ func (ws *queryWS) growBlockDirty(blocks int) []bool {
 		d[i] = false
 	}
 	return d
-}
-
-// growCells returns a uint64 cell buffer of length n, reusing capacity.
-func (ws *queryWS) growCells(n int) []uint64 {
-	if cap(ws.cells) < n {
-		ws.cells = make([]uint64, n)
-	}
-	return ws.cells[:n]
-}
-
-// runFn returns the cached run-partition closure for SSSPParallel.
-func (ws *queryWS) runFn() func(lo, hi int) {
-	if ws.pfn == nil {
-		ws.pfn = func(lo, hi int) { ws.pst.relax(lo, hi) }
-	}
-	return ws.pfn
 }
 
 func (e *Engine) getWS() *queryWS {
@@ -268,7 +246,7 @@ func (e *Engine) SSSPFrom(init []float64, st *pram.Stats) []float64 {
 	return dist
 }
 
-// The sequential executor's convergence-pruned kernels. All three relax
+// The query's convergence-pruned kernels. All three relax
 // one SoA phase bucket into dist and report whether any distance improved.
 // Per head-run, dist[head] is loaded once; that is exact because a run's
 // own edges cannot lower its head (an improving self-loop would be a
@@ -403,8 +381,11 @@ func relaxEAllBlocks(dist []float64, b *soaBucket, prev []float64, blockDirty []
 }
 
 // runSchedule relaxes dist in place through the §3.2 phase schedule,
-// polling ctx between phases when non-nil. The uninstrumented path is
-// closure-free, so it performs no heap allocation.
+// polling ctx between phases when non-nil. It is the engine's one phase
+// loop: every query method runs through it, with or without an observer.
+// The uninstrumented path is closure-free, so it performs no heap
+// allocation; with an enabled observer each phase additionally gets a
+// trace span, pprof labels and query.* counters (see relaxObserved).
 //
 // The two ℓ-blocks take the convergence early exit: a full sweep over the
 // original edges that relaxes nothing is a fixpoint witness — relaxation is
@@ -412,26 +393,28 @@ func relaxEAllBlocks(dist []float64, b *soaBucket, prev []float64, blockDirty []
 // of the block would be a no-op and is skipped. Skipped phases neither poll
 // ctx nor fire the injector; their cost is reported via Stats.AddSkipped so
 // executed+skipped reconciles exactly with the static schedule.
-func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats) error {
-	if e.obs.Enabled() {
-		return e.runScheduleObserved(ctx, dist, st)
+func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats) (err error) {
+	s := e.schedule
+	n := s.Phases()
+	observed := e.obs.Enabled()
+	if observed {
+		qs := e.obs.Span("query.sssp", "query", "phases", n)
+		defer qs.End()
 	}
-	n := e.schedule.Phases()
 	ws := e.getWS()
 	defer e.putWS(ws)
-	prev := ws.growPrev(e.schedule.prevRuns)
-	bd := ws.growBlockDirty(e.schedule.eAllBlocks)
-	e.schedule.seedDirty(bd, dist)
-	postStart := e.schedule.Phases() - e.schedule.l
+	prev := ws.growPrev(s.prevRuns)
+	bd := ws.growBlockDirty(s.eAllBlocks)
+	s.seedDirty(bd, dist)
+	postStart := n - s.l
 	var work, rounds, avoided, skipped int64
-	i := 0
-	for i < n {
+	for i := 0; i < n; {
 		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				st.AddWork(work)
-				st.AddRounds(rounds)
-				st.AddSkipped(avoided, skipped)
-				return err
+			if err = ctx.Err(); err != nil {
+				if observed {
+					e.obs.Counter(obs.MQueryCancelled).Inc()
+				}
+				break
 			}
 		}
 		e.firePhase()
@@ -443,22 +426,24 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats
 				bd[k] = true
 			}
 		}
-		ph, b := e.schedule.phaseBucketAt(i)
+		ph, b := s.phaseBucketAt(i)
 		var changed bool
-		switch ph.Kind {
-		case PhaseEllPre, PhaseEllPost:
-			changed = relaxEAllBlocks(dist, b, prev, bd, e.schedule.eAllBlockOf)
-		case PhaseSameDown, PhaseSameUp:
-			changed = relaxBucketTracked(dist, b, prev)
-		default: // PhaseDesc, PhaseAsc: single sweep, tracking can't pay
-			changed = relaxBucketDense(dist, b)
+		if observed {
+			changed = e.relaxObserved(ph, b, dist, prev, bd)
+		} else {
+			changed = s.relax(ph.Kind, b, dist, prev, bd)
 		}
 		work += int64(b.edges())
 		rounds++ // one phase; O(log n) EREW steps, see Section 2.2
 		if !changed {
-			if _, end, ok := e.schedule.ellBlock(i); ok && end > i+1 {
-				skipped += int64(end - i - 1)
-				avoided += int64(end-i-1) * int64(b.edges())
+			if _, end, ok := s.ellBlock(i); ok && end > i+1 {
+				sk := int64(end - i - 1)
+				skipped += sk
+				avoided += sk * int64(b.edges())
+				if observed {
+					e.obs.Counter(obs.MQueryPhasesSkipped).Add(sk)
+					e.obs.Counter(obs.MQueryWorkAvoided).Add(sk * int64(b.edges()))
+				}
 				i = end
 				continue
 			}
@@ -468,78 +453,42 @@ func (e *Engine) runSchedule(ctx context.Context, dist []float64, st *pram.Stats
 	st.AddWork(work)
 	st.AddRounds(rounds)
 	st.AddSkipped(avoided, skipped)
-	return nil
+	return err
 }
 
-// runScheduleObserved is runSchedule with per-phase spans, pprof labels,
-// and metric attribution (the instrumented slow path). It prunes exactly
-// like the plain path — same distances, same Stats — and additionally
-// attributes the avoided cost to the skipped-phase counters.
-func (e *Engine) runScheduleObserved(ctx context.Context, dist []float64, st *pram.Stats) error {
-	qs := e.obs.Span("query.sssp", "query", "phases", e.schedule.Phases())
-	defer qs.End()
-	n := e.schedule.Phases()
-	ws := e.getWS()
-	defer e.putWS(ws)
-	prev := ws.growPrev(e.schedule.prevRuns)
-	bd := ws.growBlockDirty(e.schedule.eAllBlocks)
-	e.schedule.seedDirty(bd, dist)
-	postStart := e.schedule.Phases() - e.schedule.l
-	i := 0
-	for i < n {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				e.obs.Counter(obs.MQueryCancelled).Inc()
-				return err
-			}
-		}
-		e.firePhase()
-		if i == postStart {
-			for k := range bd {
-				bd[k] = true
-			}
-		}
-		ph, b := e.schedule.phaseBucketAt(i)
-		sp := e.obs.Span("query.phase", "query",
-			"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.edges())
-		var changed bool
-		e.obs.Do(func() {
-			switch ph.Kind {
-			case PhaseEllPre, PhaseEllPost:
-				changed = relaxEAllBlocks(dist, b, prev, bd, e.schedule.eAllBlockOf)
-			case PhaseSameDown, PhaseSameUp:
-				changed = relaxBucketTracked(dist, b, prev)
-			default:
-				changed = relaxBucketDense(dist, b)
-			}
-			st.AddWork(int64(b.edges()))
-			st.AddRounds(1)
-		}, "phase", string(ph.Kind))
-		sp.End()
-		e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(int64(b.edges()))
-		e.obs.Counter(obs.MQueryPhases).Inc()
-		if !changed {
-			if _, end, ok := e.schedule.ellBlock(i); ok && end > i+1 {
-				sk := int64(end - i - 1)
-				st.AddSkipped(sk*int64(b.edges()), sk)
-				e.obs.Counter(obs.MQueryPhasesSkipped).Add(sk)
-				e.obs.Counter(obs.MQueryWorkAvoided).Add(sk * int64(b.edges()))
-				i = end
-				continue
-			}
-		}
-		i++
+// relax runs the kernel of a phase of the given kind over bucket b.
+func (s *Schedule) relax(kind PhaseKind, b *soaBucket, dist, prev []float64, blockDirty []bool) bool {
+	switch kind {
+	case PhaseEllPre, PhaseEllPost:
+		return relaxEAllBlocks(dist, b, prev, blockDirty, s.eAllBlockOf)
+	case PhaseSameDown, PhaseSameUp:
+		return relaxBucketTracked(dist, b, prev)
 	}
-	return nil
+	return relaxBucketDense(dist, b) // PhaseDesc, PhaseAsc: single sweep, tracking can't pay
+}
+
+// relaxObserved is relax inside the phase's trace span and pprof labels,
+// attributing the phase and its work to the query.* counters.
+func (e *Engine) relaxObserved(ph PhaseInfo, b *soaBucket, dist, prev []float64, blockDirty []bool) (changed bool) {
+	sp := e.obs.Span("query.phase", "query",
+		"index", ph.Index, "kind", string(ph.Kind), "level", ph.Level, "edges", b.edges())
+	e.obs.Do(func() {
+		changed = e.schedule.relax(ph.Kind, b, dist, prev, blockDirty)
+	}, "phase", string(ph.Kind))
+	sp.End()
+	e.obs.Counter(obs.MQueryWork + "." + string(ph.Kind)).Add(int64(b.edges()))
+	e.obs.Counter(obs.MQueryPhases).Inc()
+	return changed
 }
 
 // SSSPReference computes distances from src with the pre-optimization
-// executor: a scalar loop over the AoS phase buckets, no arena streaming,
-// no run skipping, no convergence pruning — all 2ℓ+4(d_G+1) phases scan
-// their full bucket. It relaxes the same canonical edge order as the
-// optimized paths, so their results must be bit-identical; it is retained
-// as the exactness oracle for the cross-executor fuzz target and as the
-// baseline the E-query experiment measures speedup against.
+// executor: a scalar loop over the []graph.Edge phase buckets, no arena
+// streaming, no run skipping, no convergence pruning — all 2ℓ+4(d_G+1)
+// phases scan their full bucket. It relaxes the same canonical edge order
+// as the optimized path, so their results must be bit-identical; it is
+// retained as the exactness oracle for the cross-executor fuzz target and
+// as the baseline the E-query experiment measures speedup against. The
+// first call builds the schedule's edge view (see Schedule.PhaseAt).
 func (e *Engine) SSSPReference(src int, st *pram.Stats) []float64 {
 	dist := newDistVector(e.g.N())
 	dist[src] = 0

@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/separator"
@@ -32,14 +33,21 @@ import (
 //
 // (The printed schedule in the paper suffers OCR-garbled level arithmetic;
 // this is the equivalent bitonic ordering, see DESIGN.md.)
+//
+// The buckets live in one resident form, the SoA phase arena the query
+// kernels stream. Bucket ids (see bucketID) number them
+//
+//	0          eAll:    the original edges, scanned in the ℓ-phases
+//	1+L        same[L]: level(from) == level(to) == L
+//	1+h+L      desc[L]: level(from) == L > level(to)
+//	1+2h+L     asc[L]:  level(to) == L > level(from)
+//
+// with h = d_G + 1.
 type Schedule struct {
-	height int
-	l      int
-	eAll   []graph.Edge   // original edges, scanned in the ℓ-phases
-	same   [][]graph.Edge // same[L]: level(from) == level(to) == L
-	desc   [][]graph.Edge // desc[L]: level(from) == L > level(to)
-	asc    [][]graph.Edge // asc[L]:  level(to) == L > level(from)
-	runs   int            // total head runs across all buckets
+	height  int
+	l       int
+	buckets []soaBucket // indexed by bucket id
+	runs    int         // total head runs across all buckets
 	// prevRuns counts the run slots of the tracked buckets (eAll and every
 	// same[L]), which the arena packs first: the run-delta tracker only
 	// needs resetting on [0, prevRuns).
@@ -56,17 +64,22 @@ type Schedule struct {
 	eAllBlocks  int
 	eAllBlockOf []int32
 
-	// SoA phase arena: every bucket above, flattened into one contiguous
-	// allocation with heads/to as int32 and weights as float64 in separate
-	// slices, edges grouped by head vertex with run-length-encoded heads.
-	// The []graph.Edge views are re-materialized from the arena, so both
-	// forms relax edges in the same canonical order (see DESIGN.md "Query
-	// performance").
-	soaEAll soaBucket
-	soaSame []soaBucket
-	soaDesc []soaBucket
-	soaAsc  []soaBucket
+	// view is the []graph.Edge form of buckets, id for id, in the arena's
+	// canonical order. Only the reference relaxer and the boolean reach
+	// engine read it, so it is built on first use (see edgeView).
+	viewOnce sync.Once
+	view     [][]graph.Edge
 }
+
+// Edge classes of the level-scoped buckets, in bucket-id order.
+const (
+	classSame = iota
+	classDesc
+	classAsc
+)
+
+// bucketID returns the id of the class bucket at tree level L.
+func (s *Schedule) bucketID(class, L int) int { return 1 + class*(s.height+1) + L }
 
 // soaBucket is one phase bucket in structure-of-arrays form. Edges sharing a
 // head vertex form one run: run r has head heads[r] and its (to, w) pairs
@@ -100,12 +113,8 @@ type headRun struct {
 // edges returns the number of edges in the bucket.
 func (b *soaBucket) edges() int { return len(b.to) }
 
-// runs returns the number of distinct-head runs in the bucket.
-func (b *soaBucket) runs() int { return len(b.heads) }
-
-// materialize rebuilds the bucket's []graph.Edge view in arena order.
-func (b *soaBucket) materialize() []graph.Edge {
-	out := make([]graph.Edge, 0, len(b.to))
+// appendEdges appends the bucket's edges to out in arena order.
+func (b *soaBucket) appendEdges(out []graph.Edge) []graph.Edge {
 	for r := range b.heads {
 		f := int(b.heads[r])
 		for j := b.off[r]; j < b.off[r+1]; j++ {
@@ -115,10 +124,11 @@ func (b *soaBucket) materialize() []graph.Edge {
 	return out
 }
 
-// soaBuilder packs buckets into shared arena slices. runOf is an n-sized
-// scratch mapping a vertex to its run index within the bucket being built
-// (-1 outside a build), so grouping is O(bucket size) with no per-bucket
-// n-sized work.
+// soaBuilder packs buckets into shared arena slices sized exactly: the
+// edge arrays to the total edge count, the run arrays to the total run
+// count. runOf is an n-sized scratch mapping a vertex to its run index
+// within the bucket being built (-1 outside a build), so grouping is
+// O(bucket size) with no per-bucket n-sized work.
 type soaBuilder struct {
 	runOf []int32
 	heads []int32
@@ -131,26 +141,41 @@ type soaBuilder struct {
 	ePos  int // cursor into to/w
 }
 
-func newSOABuilder(n, totalEdges, buckets int) *soaBuilder {
+// newSOABuilder sizes an arena for buckets, counting their edges and head
+// runs (distinct heads per bucket) in a first pass.
+func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 	if int64(n) > math.MaxInt32 {
 		panic("core: graph too large for the int32 phase arena")
 	}
-	sb := &soaBuilder{
-		runOf: make([]int32, n),
-		heads: make([]int32, totalEdges),
-		off:   make([]int32, totalEdges+buckets),
-		rle:   make([]headRun, totalEdges),
-		to:    make([]int32, totalEdges),
-		w:     make([]float64, totalEdges),
+	runOf := make([]int32, n)
+	for i := range runOf {
+		runOf[i] = -1
 	}
-	for i := range sb.runOf {
-		sb.runOf[i] = -1
+	edges, runs := 0, 0
+	for _, b := range buckets {
+		edges += len(b)
+		for _, e := range b {
+			if runOf[e.From] < 0 {
+				runOf[e.From] = 0
+				runs++
+			}
+		}
+		for _, e := range b {
+			runOf[e.From] = -1
+		}
 	}
-	return sb
+	return &soaBuilder{
+		runOf: runOf,
+		heads: make([]int32, runs),
+		off:   make([]int32, runs+len(buckets)),
+		rle:   make([]headRun, runs),
+		to:    make([]int32, edges),
+		w:     make([]float64, edges),
+	}
 }
 
-// build groups edges by head into the next arena region and returns the
-// bucket view. Within a run, edges keep their relative input order.
+// build groups edges by head into the next arena region and returns their
+// bucket. Within a run, edges keep their relative input order.
 func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
 	heads := sb.heads[sb.hPos:sb.hPos]
 	off := sb.off[sb.oPos:sb.oPos]
@@ -206,19 +231,14 @@ func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
 
 // NewSchedule builds the phase buckets for the union of the original edges
 // and the shortcut edges. l is the ℓ of Theorem 3.1 (max leaf diameter);
-// levels come from the decomposition tree. Buckets are stored both as the
-// SoA arena the hot relaxers stream and as []graph.Edge views materialized
-// in the same canonical head-grouped order, so every executor relaxes the
-// identical edge sequence.
+// levels come from the decomposition tree. Each bucket is packed into the
+// SoA arena grouped by head vertex, the canonical order every executor
+// relaxes it in.
 func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Schedule {
 	h := t.Height + 1
-	s := &Schedule{
-		height: t.Height,
-		l:      l,
-		same:   make([][]graph.Edge, h),
-		desc:   make([][]graph.Edge, h),
-		asc:    make([][]graph.Edge, h),
-	}
+	s := &Schedule{height: t.Height, l: l}
+	edges := make([][]graph.Edge, 1+3*h) // per bucket id
+	edges[0] = original
 	bucket := func(e graph.Edge) {
 		lu, lv := t.Level(e.From), t.Level(e.To)
 		if lu == separator.LevelUndef || lv == separator.LevelUndef {
@@ -226,14 +246,16 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 			// of original edges cover these.
 			return
 		}
+		var id int
 		switch {
 		case lu == lv:
-			s.same[lu] = append(s.same[lu], e)
+			id = s.bucketID(classSame, lu)
 		case lu > lv:
-			s.desc[lu] = append(s.desc[lu], e)
+			id = s.bucketID(classDesc, lu)
 		default:
-			s.asc[lv] = append(s.asc[lv], e)
+			id = s.bucketID(classAsc, lv)
 		}
+		edges[id] = append(edges[id], e)
 	}
 	for _, e := range original {
 		bucket(e)
@@ -241,41 +263,52 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 	for _, e := range shortcuts {
 		bucket(e)
 	}
-	total := len(original)
-	for L := 0; L < h; L++ {
-		total += len(s.same[L]) + len(s.desc[L]) + len(s.asc[L])
-	}
 	// The tracked buckets (eAll, then every same[L]) are built first so
 	// their global run slots form the prefix [0, prevRuns) — the per-query
 	// +Inf reset of the run-delta tracker then touches only slots a tracked
 	// kernel can read, not the desc/asc runs that never consult it.
-	sb := newSOABuilder(t.N(), total, 1+3*h)
-	s.soaEAll = sb.build(original)
-	s.eAll = s.soaEAll.materialize()
-	s.soaSame = make([]soaBucket, h)
-	s.soaDesc = make([]soaBucket, h)
-	s.soaAsc = make([]soaBucket, h)
-	for L := 0; L < h; L++ {
-		s.soaSame[L] = sb.build(s.same[L])
-		s.same[L] = s.soaSame[L].materialize()
+	sb := newSOABuilder(t.N(), edges)
+	s.buckets = make([]soaBucket, len(edges))
+	for id := 0; id <= h; id++ { // eAll, same[0..d_G]
+		s.buckets[id] = sb.build(edges[id])
 	}
 	s.prevRuns = sb.hPos
 	for L := 0; L < h; L++ {
-		s.soaDesc[L] = sb.build(s.desc[L])
-		s.desc[L] = s.soaDesc[L].materialize()
-		s.soaAsc[L] = sb.build(s.asc[L])
-		s.asc[L] = s.soaAsc[L].materialize()
+		d, a := s.bucketID(classDesc, L), s.bucketID(classAsc, L)
+		s.buckets[d] = sb.build(edges[d])
+		s.buckets[a] = sb.build(edges[a])
 	}
 	s.runs = sb.hPos
-	s.eAllBlocks = (len(s.soaEAll.heads) + eAllBlockRuns - 1) / eAllBlockRuns
+	eAll := &s.buckets[0]
+	s.eAllBlocks = (len(eAll.heads) + eAllBlockRuns - 1) / eAllBlockRuns
 	s.eAllBlockOf = make([]int32, t.N())
 	for v := range s.eAllBlockOf {
 		s.eAllBlockOf[v] = int32(s.eAllBlocks) // dummy: no original out-edge
 	}
-	for r, h := range s.soaEAll.heads {
+	for r, h := range eAll.heads {
 		s.eAllBlockOf[h] = int32(r / eAllBlockRuns)
 	}
 	return s
+}
+
+// edgeView returns the []graph.Edge form of every bucket, indexed by bucket
+// id, expanding the arena into one allocation on the first call.
+func (s *Schedule) edgeView() [][]graph.Edge {
+	s.viewOnce.Do(func() {
+		total := 0
+		for k := range s.buckets {
+			total += s.buckets[k].edges()
+		}
+		all := make([]graph.Edge, 0, total)
+		view := make([][]graph.Edge, len(s.buckets))
+		for k := range s.buckets {
+			lo := len(all)
+			all = s.buckets[k].appendEdges(all)
+			view[k] = all[lo:len(all):len(all)]
+		}
+		s.view = view
+	})
+	return s.view
 }
 
 // eAllBlockRuns is the ℓ-block frontier granularity: runs per dirty flag.
@@ -342,70 +375,58 @@ func (s *Schedule) Breakdown() []PhaseWork {
 		out[i].Kind = k
 		by[k] = &out[i]
 	}
-	s.RunPhases(func(ph PhaseInfo, edges []graph.Edge) {
+	for i := 0; i < s.Phases(); i++ {
+		ph, b := s.phaseBucketAt(i)
 		pw := by[ph.Kind]
 		pw.Phases++
-		pw.Work += int64(len(edges))
-	})
+		pw.Work += int64(b.edges())
+	}
 	return out
 }
 
-// PhaseAt returns the identity and edge bucket of phase i of the schedule
+// phaseAt returns the identity and bucket id of phase i of the schedule
 // (0 ≤ i < Phases()), the random-access form of the bitonic ordering:
 // ℓ sweeps of all original edges, the descending sweep (same-level then
 // descending edges for L = d_G … 0), the ascending sweep (ascending then
 // same-level edges for L = 0 … d_G), and ℓ closing sweeps. Random access
 // lets hot query loops iterate phases without allocating closures.
-func (s *Schedule) PhaseAt(i int) (PhaseInfo, []graph.Edge) {
+func (s *Schedule) phaseAt(i int) (PhaseInfo, int) {
 	h := s.height + 1
 	switch {
 	case i < s.l:
-		return PhaseInfo{Index: i, Kind: PhaseEllPre, Level: -1}, s.eAll
+		return PhaseInfo{Index: i, Kind: PhaseEllPre, Level: -1}, 0
 	case i < s.l+2*h:
 		j := i - s.l
 		L := s.height - j/2
 		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseSameDown, Level: L}, s.same[L]
+			return PhaseInfo{Index: i, Kind: PhaseSameDown, Level: L}, s.bucketID(classSame, L)
 		}
-		return PhaseInfo{Index: i, Kind: PhaseDesc, Level: L}, s.desc[L]
+		return PhaseInfo{Index: i, Kind: PhaseDesc, Level: L}, s.bucketID(classDesc, L)
 	case i < s.l+4*h:
 		j := i - s.l - 2*h
 		L := j / 2
 		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseAsc, Level: L}, s.asc[L]
+			return PhaseInfo{Index: i, Kind: PhaseAsc, Level: L}, s.bucketID(classAsc, L)
 		}
-		return PhaseInfo{Index: i, Kind: PhaseSameUp, Level: L}, s.same[L]
+		return PhaseInfo{Index: i, Kind: PhaseSameUp, Level: L}, s.bucketID(classSame, L)
 	default:
-		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, s.eAll
+		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, 0
 	}
 }
 
-// phaseBucketAt is PhaseAt in arena form: the identity and SoA bucket of
-// phase i. The bucket holds the same edges as PhaseAt's slice, in the same
-// canonical order — hot relaxers stream the arena, observability keeps the
-// AoS view.
+// phaseBucketAt returns the identity and arena bucket of phase i — what the
+// query kernels and the schedule's cost accounting read.
 func (s *Schedule) phaseBucketAt(i int) (PhaseInfo, *soaBucket) {
-	h := s.height + 1
-	switch {
-	case i < s.l:
-		return PhaseInfo{Index: i, Kind: PhaseEllPre, Level: -1}, &s.soaEAll
-	case i < s.l+2*h:
-		j := i - s.l
-		L := s.height - j/2
-		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseSameDown, Level: L}, &s.soaSame[L]
-		}
-		return PhaseInfo{Index: i, Kind: PhaseDesc, Level: L}, &s.soaDesc[L]
-	case i < s.l+4*h:
-		j := i - s.l - 2*h
-		L := j / 2
-		if j%2 == 0 {
-			return PhaseInfo{Index: i, Kind: PhaseAsc, Level: L}, &s.soaAsc[L]
-		}
-		return PhaseInfo{Index: i, Kind: PhaseSameUp, Level: L}, &s.soaSame[L]
-	default:
-		return PhaseInfo{Index: i, Kind: PhaseEllPost, Level: -1}, &s.soaEAll
-	}
+	ph, id := s.phaseAt(i)
+	return ph, &s.buckets[id]
+}
+
+// PhaseAt returns the identity and []graph.Edge bucket of phase i, the
+// same edges as the arena bucket in the same order. The first call builds
+// the edge view (see edgeView); the query path never needs it.
+func (s *Schedule) PhaseAt(i int) (PhaseInfo, []graph.Edge) {
+	ph, id := s.phaseAt(i)
+	return ph, s.edgeView()[id]
 }
 
 // ellBlock returns the bounds [start, end) of the ℓ-sweep block containing
@@ -426,8 +447,7 @@ func (s *Schedule) ellBlock(i int) (start, end int, ok bool) {
 }
 
 // RunPhases executes the schedule like Run, additionally passing each
-// phase's identity — the hook the observability layer attributes per-phase
-// relaxation counts and trace spans to.
+// phase's identity. It reads the edge view, built on the first call.
 func (s *Schedule) RunPhases(relax func(ph PhaseInfo, edges []graph.Edge)) {
 	n := s.Phases()
 	for i := 0; i < n; i++ {
@@ -440,16 +460,18 @@ func (s *Schedule) RunPhases(relax func(ph PhaseInfo, edges []graph.Edge)) {
 // the quantity bounded by O(ℓ·|E| + |E ∪ E+|) in Section 3.2 (same-level
 // buckets are scanned twice, once per sweep direction).
 func (s *Schedule) WorkPerSource() int64 {
-	w := int64(2*s.l) * int64(len(s.eAll))
-	for L := 0; L <= s.height; L++ {
-		w += int64(2*len(s.same[L]) + len(s.desc[L]) + len(s.asc[L]))
+	var w int64
+	for i := 0; i < s.Phases(); i++ {
+		_, b := s.phaseBucketAt(i)
+		w += int64(b.edges())
 	}
 	return w
 }
 
 // Run executes the schedule, invoking relax(bucket) once per phase. relax
-// is abstracted so the min-plus engine and the boolean reachability engine
-// share one schedule.
+// is abstracted so the min-plus reference relaxer and the boolean
+// reachability engine share one schedule; like RunPhases it reads the edge
+// view.
 func (s *Schedule) Run(relax func(edges []graph.Edge)) {
 	s.RunPhases(func(_ PhaseInfo, edges []graph.Edge) { relax(edges) })
 }

@@ -36,32 +36,36 @@ func TestScheduleBucketInvariants(t *testing.T) {
 			definedCount++
 		}
 	}
+	view := s.edgeView()
+	same := func(L int) []graph.Edge { return view[s.bucketID(classSame, L)] }
+	desc := func(L int) []graph.Edge { return view[s.bucketID(classDesc, L)] }
+	asc := func(L int) []graph.Edge { return view[s.bucketID(classAsc, L)] }
 	bucketed := 0
 	for L := 0; L <= s.height; L++ {
-		for _, e := range s.same[L] {
+		for _, e := range same(L) {
 			if tree.Level(e.From) != L || tree.Level(e.To) != L {
 				t.Fatalf("same[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
 			}
 		}
-		for _, e := range s.desc[L] {
+		for _, e := range desc(L) {
 			if tree.Level(e.From) != L || tree.Level(e.To) >= L {
 				t.Fatalf("desc[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
 			}
 		}
-		for _, e := range s.asc[L] {
+		for _, e := range asc(L) {
 			if tree.Level(e.To) != L || tree.Level(e.From) >= L {
 				t.Fatalf("asc[%d] holds edge with levels %d,%d", L, tree.Level(e.From), tree.Level(e.To))
 			}
 		}
-		bucketed += len(s.same[L]) + len(s.desc[L]) + len(s.asc[L])
+		bucketed += len(same(L)) + len(desc(L)) + len(asc(L))
 	}
 	if bucketed != definedCount {
 		t.Fatalf("bucketed %d edges, expected %d", bucketed, definedCount)
 	}
-	// Work formula cross-check.
-	var want int64 = int64(2*s.l) * int64(len(s.eAll))
+	// Work formula cross-check: the arena's count against the edge view.
+	var want int64 = int64(2*s.l) * int64(len(view[0]))
 	for L := 0; L <= s.height; L++ {
-		want += int64(2*len(s.same[L]) + len(s.desc[L]) + len(s.asc[L]))
+		want += int64(2*len(same(L)) + len(desc(L)) + len(asc(L)))
 	}
 	if s.WorkPerSource() != want {
 		t.Fatalf("WorkPerSource=%d want %d", s.WorkPerSource(), want)
@@ -72,10 +76,7 @@ func TestScheduleBucketInvariants(t *testing.T) {
 // ordering: ℓ all-edge phases, descending sweep (same, desc interleaved
 // from high L), ascending sweep (asc, same from low L), ℓ all-edge phases.
 func TestScheduleRunOrder(t *testing.T) {
-	tree := &separator.Tree{} // only Height is consulted via the schedule fields
-	s := &Schedule{height: 2, l: 2, eAll: []graph.Edge{{}},
-		same: make([][]graph.Edge, 3), desc: make([][]graph.Edge, 3), asc: make([][]graph.Edge, 3)}
-	_ = tree
+	s := &Schedule{height: 2, l: 2, buckets: make([]soaBucket, 1+3*3)}
 	var phases int
 	s.Run(func([]graph.Edge) { phases++ })
 	if phases != s.Phases() {

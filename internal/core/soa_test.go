@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -128,32 +126,27 @@ func TestSourcesPruningMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestSSSPParallelContextCancel: the parallel query honors mid-run
-// cancellation with the same poll-per-phase contract as the sequential one.
-func TestSSSPParallelContextCancel(t *testing.T) {
-	eng := contextTestEngine(t)
-	for _, k := range []int{0, 2, 5} {
-		st := &pram.Stats{}
-		dist, err := eng.SSSPParallelContext(&countdownCtx{n: k}, 0, st)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
-		}
-		if dist != nil {
-			t.Fatalf("k=%d: got a distance vector on cancellation", k)
-		}
-		if got := st.Rounds(); got != int64(k) {
-			t.Fatalf("k=%d: ran %d phases before stopping, want exactly %d", k, got, k)
-		}
+// TestArenaRunArraysSizedToRuns: the arena's run arrays (heads, rle, and
+// off with one sentinel per bucket) hold exactly one slot per head run, not
+// one per edge. Bucket 0 starts the shared arrays, so its capacity is the
+// whole arena's.
+func TestArenaRunArraysSizedToRuns(t *testing.T) {
+	eng, _ := buildGridEngine(t, []int{11, 9}, gen.UniformWeights(0.2, 3), 4, Config{})
+	s := eng.Schedule()
+	runs, edges := 0, 0
+	for k := range s.buckets {
+		runs += len(s.buckets[k].heads)
+		edges += s.buckets[k].edges()
 	}
-	// A surviving context completes with the full answer.
-	want := eng.SSSP(3, nil)
-	got, err := eng.SSSPParallelContext(context.Background(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
+	if runs != s.runs || runs >= edges {
+		t.Fatalf("counted %d runs over %d edges, schedule says %d runs", runs, edges, s.runs)
 	}
-	for v := range want {
-		if !almostEqual(got[v], want[v]) {
-			t.Fatalf("dist[%d] = %v want %v", v, got[v], want[v])
-		}
+	b := &s.buckets[0]
+	if cap(b.heads) != runs || cap(b.rle) != runs || cap(b.off) != runs+len(s.buckets) {
+		t.Fatalf("run arrays cap heads=%d rle=%d off=%d, want %d, %d, %d",
+			cap(b.heads), cap(b.rle), cap(b.off), runs, runs, runs+len(s.buckets))
+	}
+	if cap(b.to) != edges || cap(b.w) != edges {
+		t.Fatalf("edge arrays cap to=%d w=%d, want %d", cap(b.to), cap(b.w), edges)
 	}
 }

@@ -65,7 +65,7 @@ func TestManagerReweightSwapsEpoch(t *testing.T) {
 	// The new epoch answers with the NEW weights, exactly.
 	for _, src := range []int{0, 21, 63} {
 		want, _ := baseline.BellmanFord(ref, src, nil)
-		got := m.Index().SSSP(src)
+		got := querySSSP(t, m.Index(), src)
 		for v := range want {
 			if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 				t.Fatalf("src=%d v=%d: %v, want %v", src, v, got[v], want[v])
@@ -77,7 +77,7 @@ func TestManagerReweightSwapsEpoch(t *testing.T) {
 func TestManagerFailedRebuildKeepsOldEpoch(t *testing.T) {
 	ix, _, _ := reweightFixture(t, 2)
 	m := NewManager(ix, nil)
-	before := m.Index().SSSP(0)
+	before := querySSSP(t, m.Index(), 0)
 
 	// A graph with a different skeleton cannot reuse the decomposition.
 	other, _ := gridGraph(t, 7, 7, 3)
@@ -94,7 +94,7 @@ func TestManagerFailedRebuildKeepsOldEpoch(t *testing.T) {
 	if m.RebuildFailures() != 1 || m.Swaps() != 0 {
 		t.Fatalf("failures=%d swaps=%d, want 1, 0", m.RebuildFailures(), m.Swaps())
 	}
-	after := m.Index().SSSP(0)
+	after := querySSSP(t, m.Index(), 0)
 	for v := range before {
 		if before[v] != after[v] {
 			t.Fatalf("live answers changed after a failed rebuild: v=%d %v vs %v", v, before[v], after[v])
@@ -130,7 +130,7 @@ func TestManagerPanickingRebuildIsolated(t *testing.T) {
 	if m.Epoch() != 1 || m.RebuildFailures() != 1 {
 		t.Fatalf("epoch=%d failures=%d, want 1, 1", m.Epoch(), m.RebuildFailures())
 	}
-	if got := m.Index().SSSP(5); len(got) == 0 {
+	if got := querySSSP(t, m.Index(), 5); len(got) == 0 {
 		t.Fatal("old epoch no longer serves")
 	}
 	// The injector fires once per attempt; the next rebuild succeeds.
@@ -192,7 +192,7 @@ func TestManagerOldEpochDrainsOnLastRelease(t *testing.T) {
 	if m.Draining() != 1 {
 		t.Fatalf("draining = %d right after the swap, want 1 (wave still pinned)", m.Draining())
 	}
-	if got := pinned.SSSP(3); len(got) == 0 {
+	if got := querySSSP(t, pinned, 3); len(got) == 0 {
 		t.Fatal("pinned old-epoch index stopped serving mid-drain")
 	}
 	release()
@@ -378,7 +378,7 @@ func TestLoadPreEpochBlob(t *testing.T) {
 	if loaded.Epoch() != 0 {
 		t.Fatalf("pre-epoch blob loaded with epoch %d, want 0", loaded.Epoch())
 	}
-	want, got := ix.SSSP(0), loaded.SSSP(0)
+	want, got := querySSSP(t, ix, 0), querySSSP(t, loaded, 0)
 	for v := range want {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			t.Fatalf("v=%d: %v vs %v", v, got[v], want[v])

@@ -31,8 +31,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Distances identical (bit-for-bit: same edges, same schedule).
 	for _, src := range []int{0, 35, 71} {
-		want := ix.SSSP(src)
-		got := loaded.SSSP(src)
+		want := querySSSP(t, ix, src)
+		got := querySSSP(t, loaded, src)
 		for v := range want {
 			if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 				t.Fatalf("src=%d v=%d: %v vs %v", src, v, got[v], want[v])
@@ -97,7 +97,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	if a.Shortcuts != b.Shortcuts || a.TreeHeight != b.TreeHeight {
 		t.Fatalf("stats differ: %+v vs %+v", a, b)
 	}
-	want, got := ix.SSSP(0), loaded.SSSP(0)
+	want, got := querySSSP(t, ix, 0), querySSSP(t, loaded, 0)
 	for v := range want {
 		if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
 			t.Fatalf("v=%d: %v vs %v", v, got[v], want[v])

@@ -22,7 +22,7 @@
 //	g := sepsp.NewGraph(n)
 //	g.AddEdge(u, v, w)                      // real weights, negatives OK
 //	ix, err := sepsp.Build(g, nil)          // auto decomposition
-//	dist := ix.SSSP(src)                    // exact distances
+//	dist, err := ix.SSSPContext(ctx, src)   // exact distances
 //
 // Structured graphs should pass their structure via Options: lattice
 // coordinates (grids), point coordinates (geometric graphs), or a tree
@@ -703,29 +703,6 @@ func runGuarded[T any](op string, primary func() (T, error)) (out T, err error) 
 	return primary()
 }
 
-// mustQuery adapts the canonical context-taking methods for the deprecated
-// value-returning wrappers: with a fallback engine errors cannot occur (a
-// recovered panic was absorbed and the query re-answered by the baseline),
-// and without one a *PanicError re-raises in the caller's goroutine — the
-// wrappers' historical contract. A context error is impossible because the
-// wrappers pass context.Background().
-func mustQuery[T any](out T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// SSSP returns exact distances from src to every vertex (+Inf where
-// unreachable).
-//
-// Deprecated: use SSSPContext — the context-taking methods are the
-// canonical query surface (cancellable, error-returning); SSSP is a thin
-// context.Background() wrapper kept for existing callers.
-func (ix *Index) SSSP(src int) []float64 {
-	return mustQuery(ix.SSSPContext(context.Background(), src))
-}
-
 // SSSPContext computes exact distances from src to every vertex (+Inf
 // where unreachable) with cooperative cancellation: ctx is polled between
 // Bellman-Ford phases, so a cancelled or expired context returns
@@ -751,15 +728,6 @@ func (ix *Index) ssspStats(ctx context.Context, src int, st *pram.Stats) ([]floa
 	return ix.fb.ssspCtx(ctx, ix.fb.g, src)
 }
 
-// Sources computes SSSP from many sources, parallelized over sources.
-//
-// Deprecated: use SourcesContext — the context-taking methods are the
-// canonical query surface; Sources is a thin context.Background() wrapper
-// kept for existing callers.
-func (ix *Index) Sources(srcs []int) [][]float64 {
-	return mustQuery(ix.SourcesContext(context.Background(), srcs))
-}
-
 // SourcesContext computes SSSP from many sources, parallelized over
 // sources, with cooperative cancellation; all per-source workers wind down
 // within one phase of a cancellation.
@@ -779,17 +747,24 @@ func (ix *Index) SourcesContext(ctx context.Context, srcs []int) ([][]float64, e
 // built (BuildOracle), the answer costs O(n^μ) label-merge work; otherwise
 // Dist runs one full SSSP from u and discards all but one entry — callers
 // with many pair queries should either BuildOracle once or batch sources
-// through SSSP/Sources.
+// through SSSPContext/SourcesContext. With a fallback engine errors cannot
+// occur (a recovered panic is re-answered by the baseline); without one a
+// *PanicError re-raises in the caller's goroutine.
 func (ix *Index) Dist(u, v int) float64 {
 	if o := ix.oracle.Load(); o != nil {
 		return o.Dist(u, v)
 	}
-	return mustQuery(ix.SSSPContext(context.Background(), u))[v]
+	dist, err := ix.SSSPContext(context.Background(), u)
+	if err != nil {
+		panic(err)
+	}
+	return dist[v]
 }
 
 // SSSPTree returns distances plus a shortest-path tree in the original
 // graph: parent[v] is the predecessor of v on a minimum-weight src→v path
-// (parent[src] = src; -1 for unreachable vertices).
+// (parent[src] = src; -1 for unreachable vertices). Like Dist, it re-raises
+// a recovered *PanicError when no fallback engine absorbs it.
 func (ix *Index) SSSPTree(src int) (dist []float64, parent []int) {
 	type tree struct {
 		dist   []float64
@@ -801,8 +776,10 @@ func (ix *Index) SSSPTree(src int) (dist []float64, parent []int) {
 			return tree{d, p}, nil
 		})
 		if err == nil || !ix.fallbackFor(err) {
-			t := mustQuery(out, err)
-			return t.dist, t.parent
+			if err != nil {
+				panic(err)
+			}
+			return out.dist, out.parent
 		}
 	}
 	return ix.fb.ssspTree(src)
@@ -885,15 +862,6 @@ func (o *Oracle) Pairs(pairs [][2]int) []float64 { return o.o.Pairs(pairs, nil, 
 
 // LabelEntries reports the total hub-label storage (O(n^{1+μ}) entries).
 func (o *Oracle) LabelEntries() int { return o.o.LabelSize() }
-
-// DistTo returns, for every vertex u, the distance FROM u TO dst.
-//
-// Deprecated: use DistToContext — the context-taking methods are the
-// canonical query surface; DistTo is a thin context.Background() wrapper
-// kept for existing callers.
-func (ix *Index) DistTo(dst int) ([]float64, error) {
-	return ix.DistToContext(context.Background(), dst)
-}
 
 // DistToContext returns, for every vertex u, the distance FROM u TO dst,
 // with cooperative cancellation of the reverse query. It runs one query on

@@ -52,7 +52,11 @@ func TestIndexConcurrentMixedQueries(t *testing.T) {
 			dst := (w*29 + 7) % n
 			switch w % 6 {
 			case 0:
-				dist := ix.SSSP(src)
+				dist, err := ix.SSSPContext(context.Background(), src)
+				if err != nil {
+					report(err)
+					return
+				}
 				for v := range dist {
 					if !approxEq(dist[v], fwd[src][v]) {
 						report(errAtf("SSSP(%d)[%d] = %v want %v", src, v, dist[v], fwd[src][v]))
@@ -60,7 +64,7 @@ func TestIndexConcurrentMixedQueries(t *testing.T) {
 					}
 				}
 			case 1:
-				dist, err := ix.DistTo(dst)
+				dist, err := ix.DistToContext(context.Background(), dst)
 				if err != nil {
 					report(err)
 					return
@@ -171,7 +175,7 @@ func TestSSSPContextCancelled(t *testing.T) {
 	}
 
 	// A live context answers identically to the non-context path.
-	want := ix.SSSP(3)
+	want := querySSSP(t, ix, 3)
 	got, err := ix.SSSPContext(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func diffCheck(t *testing.T, seed int64, g *Graph, opt *Options, ref *graph.Digr
 			t.Errorf("seed=%d: BF: %v", seed, err)
 			return false
 		}
-		got := ix.SSSP(src)
+		got := querySSSP(t, ix, src)
 		for v := range want {
 			if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) ||
 				(!math.IsInf(want[v], 1) && math.Abs(got[v]-want[v]) > 1e-8*(1+math.Abs(want[v]))) {
@@ -267,7 +267,7 @@ func TestFuzzOracleAgainstEngine(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			u, v := rng.Intn(grid.G.N()), rng.Intn(grid.G.N())
-			want := ix.SSSP(u)[v]
+			want := querySSSP(t, ix, u)[v]
 			got := o.Dist(u, v)
 			if math.Abs(got-want) > 1e-8*(1+math.Abs(want)) {
 				t.Errorf("seed=%d (%d,%d): oracle %v engine %v", seed, u, v, got, want)

@@ -1,6 +1,7 @@
 package sepsp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,7 +17,7 @@ func TestDistTo(t *testing.T) {
 	}
 	ref := refGraph(gg)
 	dst := 17
-	got, err := ix.DistTo(dst)
+	got, err := ix.DistToContext(context.Background(), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestDistTo(t *testing.T) {
 	}
 	// Consistency with forward queries: dist(u→dst) via SSSP(u).
 	for _, u := range []int{0, 11, 40} {
-		fwd := ix.SSSP(u)[dst]
+		fwd := querySSSP(t, ix, u)[dst]
 		if math.Abs(got[u]-fwd) > 1e-9*(1+math.Abs(fwd)) {
 			t.Fatalf("DistTo and SSSP disagree for u=%d: %v vs %v", u, got[u], fwd)
 		}
@@ -60,7 +61,7 @@ func TestWithWeightsReusesDecomposition(t *testing.T) {
 		t.Fatal("tree not reused")
 	}
 	want, _ := baseline.BellmanFord(refGraph(g2), 0, nil)
-	got := ix2.SSSP(0)
+	got := querySSSP(t, ix2, 0)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 			t.Fatalf("v=%d: %v want %v", v, got[v], want[v])
@@ -125,7 +126,7 @@ func TestBuildWorksOnDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := ix.SSSP(0)
+	d := querySSSP(t, ix, 0)
 	if d[1] != 1 || !math.IsInf(d[2], 1) || !math.IsInf(d[9], 1) {
 		t.Fatalf("distances wrong: %v", d)
 	}

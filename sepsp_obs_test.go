@@ -74,7 +74,7 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 	}
 
 	// Dynamic per-phase counters after exactly one query reconcile too.
-	ix.SSSP(0)
+	querySSSP(t, ix, 0)
 	var snap struct {
 		Counters map[string]int64 `json:"counters"`
 		Gauges   map[string]float64
@@ -120,7 +120,7 @@ func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix.SSSP(0)
+	querySSSP(t, ix, 0)
 
 	var buf bytes.Buffer
 	if err := ob.WriteTrace(&buf); err != nil {

@@ -1,6 +1,7 @@
 package sepsp
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -44,7 +45,7 @@ func TestBuildAndQueryAllDecompositions(t *testing.T) {
 		}
 		for _, src := range []int{0, 35, 71} {
 			want, _ := baseline.BellmanFord(ref, src, nil)
-			got := ix.SSSP(src)
+			got := querySSSP(t, ix, src)
 			for v := range want {
 				if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 					t.Fatalf("%s src=%d v=%d: %v vs %v", name, src, v, got[v], want[v])
@@ -67,7 +68,7 @@ func TestBuildGeometric(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := baseline.BellmanFord(geo.G, 0, nil)
-	got := ix.SSSP(0)
+	got := querySSSP(t, ix, 0)
 	for v := range want {
 		if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) {
 			t.Fatalf("reachability mismatch at %d", v)
@@ -91,7 +92,7 @@ func TestBuildKTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := baseline.BellmanFord(kt.G, 5, nil)
-	got := ix.SSSP(5)
+	got := querySSSP(t, ix, 5)
 	for v := range want {
 		if math.Abs(got[v]-want[v]) > 1e-9*(1+math.Abs(want[v])) {
 			t.Fatalf("v=%d: %v vs %v", v, got[v], want[v])
@@ -197,13 +198,27 @@ func TestSourcesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	srcs := []int{0, 9, 33}
-	rows := ix.Sources(srcs)
+	rows, err := ix.SourcesContext(context.Background(), srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, src := range srcs {
-		single := ix.SSSP(src)
+		single := querySSSP(t, ix, src)
 		for v := range single {
 			if rows[i][v] != single[v] {
 				t.Fatalf("Sources disagrees with SSSP at src=%d v=%d", src, v)
 			}
 		}
 	}
+}
+
+// querySSSP answers an SSSP query through Index.SSSPContext under a
+// background context, failing the test on error.
+func querySSSP(tb testing.TB, ix *Index, src int) []float64 {
+	tb.Helper()
+	dist, err := ix.SSSPContext(context.Background(), src)
+	if err != nil {
+		tb.Fatalf("SSSPContext(%d): %v", src, err)
+	}
+	return dist
 }

@@ -108,7 +108,7 @@ func TestServerRunsRequestsConcurrently(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		want := ix.SSSP(src)
+		want := querySSSP(t, ix, src)
 		for v := range want {
 			if dists[i][v] != want[v] {
 				t.Fatalf("request %d: dist[%d] = %v want %v", i, v, dists[i][v], want[v])
@@ -148,7 +148,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	defer srv.Close()
 	want := make([][]float64, n)
 	for v := 0; v < n; v++ {
-		want[v] = ix.SSSP(v)
+		want[v] = querySSSP(t, ix, v)
 	}
 	const clients, perClient = 8, 16
 	var wg sync.WaitGroup
@@ -340,7 +340,7 @@ func TestServerDist(t *testing.T) {
 	}
 	defer srv.Close()
 	u, v := 3, n-4
-	want := ix.SSSP(u)[v]
+	want := querySSSP(t, ix, u)[v]
 	got, err := srv.Dist(context.Background(), u, v)
 	if err != nil {
 		t.Fatal(err)
