@@ -17,9 +17,11 @@ race:
 # chaos runs the deterministic fault-injection suite under the race
 # detector: panics, delays, and cancellations fire at every instrumented
 # boundary while concurrent clients assert each request still ends in a
-# correct answer or a typed error (see DESIGN.md "Failure model").
+# correct answer or a typed error (see DESIGN.md "Failure model"), plus
+# the server's exactly-once counting tests (queue timeouts, cancellations,
+# queries racing Close, Observer and Telemetry counts against Healthz).
 chaos:
-	$(GO) test -race -run 'Chaos|Robust|ServerWavePanic|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
+	$(GO) test -race -run 'Chaos|CountedOnce|RacingClose|QueueTimeout|ServerWavePanic|Fallback|Degraded|PanicSurfaces|UsableAfterPanic' -count=1 .
 	$(GO) test -race -run 'Panic|Inject' -count=1 ./internal/pram ./internal/faultinject
 
 # serve-drill runs the live-telemetry chaos drill end to end: the real

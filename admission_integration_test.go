@@ -106,7 +106,7 @@ func TestServerPriorityEviction(t *testing.T) {
 // outright and are never browned out.
 func TestServerBrownoutExactAnswers(t *testing.T) {
 	g, grid := gridGraph(t, 8, 8, 7)
-	ix, err := Build(g, &Options{Coordinates: grid.Coord, Fallback: FallbackBaseline})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestManagerRebuildBreakerOpensAndRecovers(t *testing.T) {
 // not how fast the host (or the race detector) happens to run them.
 func TestOverloadRampPriorityLatency(t *testing.T) {
 	g, grid := gridGraph(t, 6, 6, 41)
-	ix, err := Build(g, &Options{Coordinates: grid.Coord})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ import (
 
 	"sepsp/internal/exp"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/pram"
 )
 
@@ -89,7 +90,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	var sink *obs.Sink
 	if *tracePath != "" || *metricsPath != "" {
-		sink = &obs.Sink{Metrics: obs.NewRegistry()}
+		sink = &obs.Sink{Metrics: live.NewRegistry()}
 		if *tracePath != "" {
 			sink.Trace = obs.NewTracer()
 		}

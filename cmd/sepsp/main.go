@@ -241,7 +241,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		opt.Coordinates = coords
+		opt.Decomposition = sepsp.GridDecomposition(coords)
 	}
 
 	// The stats command needs the per-level breakdown, which only an

@@ -17,10 +17,6 @@ import (
 //	ix, err := sepsp.Build(g, &sepsp.Options{
 //	        Decomposition: sepsp.GridDecomposition(coords),
 //	})
-//
-// This replaces the four mutually-exclusive hint fields of Options
-// (Coordinates, Points/Radius, Bags/BagParents, Rotations), which remain as
-// deprecated forwarding shims.
 type Decomposition struct {
 	kind   string
 	finder separator.Finder

@@ -1,8 +1,7 @@
 package sepsp
 
 // Tests for the typed Decomposition API and the typed sentinel errors: the
-// constructors validate eagerly and carry errors into Build, the deprecated
-// Options hint fields forward through the same constructors, and every
+// constructors validate eagerly and carry errors into Build, and every
 // rejection path is matchable with errors.Is.
 
 import (
@@ -51,47 +50,6 @@ func TestDecompositionConstructorErrors(t *testing.T) {
 		if _, err := Build(g, &Options{Decomposition: c.d}); !errors.Is(err, ErrBadOptions) {
 			t.Errorf("%s: Build err = %v, want ErrBadOptions", c.name, err)
 		}
-	}
-}
-
-// TestDeprecatedHintsForward checks the legacy Options hint fields still
-// build, and produce the same answers as the typed constructors they
-// forward to.
-func TestDeprecatedHintsForward(t *testing.T) {
-	g, grid := gridGraph(t, 6, 6, 5)
-	g2, _ := gridGraph(t, 6, 6, 5)
-	old, err := Build(g, &Options{Coordinates: grid.Coord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	typed, err := Build(g2, &Options{Decomposition: GridDecomposition(grid.Coord)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := querySSSP(t, old, 0), querySSSP(t, typed, 0)
-	for v := range a {
-		if !approxEq(a[v], b[v]) {
-			t.Fatalf("dist[%d]: legacy %v vs typed %v", v, a[v], b[v])
-		}
-	}
-}
-
-// TestDecompositionConflicts checks mutually exclusive hints are rejected:
-// two legacy fields, or a legacy field alongside a typed Decomposition.
-func TestDecompositionConflicts(t *testing.T) {
-	g, grid := gridGraph(t, 4, 4, 1)
-	pts := [][]float64{{0, 0}}
-	if _, err := Build(g, &Options{Coordinates: grid.Coord, Points: pts, Radius: 1}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("two legacy hints: err = %v, want ErrBadOptions", err)
-	}
-	if _, err := Build(g, &Options{
-		Coordinates:   grid.Coord,
-		Decomposition: GridDecomposition(grid.Coord),
-	}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("legacy + typed: err = %v, want ErrBadOptions", err)
-	}
-	if _, err := Build(g, &Options{Points: pts}); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("Points without Radius: err = %v, want ErrBadOptions", err)
 	}
 }
 

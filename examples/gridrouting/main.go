@@ -64,8 +64,8 @@ func main() {
 	}
 
 	ix, err := sepsp.Build(g, &sepsp.Options{
-		Coordinates: coords, // hyperplane separators on the lattice
-		Workers:     -1,     // all cores
+		Decomposition: sepsp.GridDecomposition(coords), // hyperplane separators on the lattice
+		Workers:       -1,                              // all cores
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -33,8 +33,8 @@ func main() {
 	})
 
 	ix, err := sepsp.Build(g, &sepsp.Options{
-		Rotations: net.Rotation, // the planar embedding drives the separators
-		Workers:   -1,
+		Decomposition: sepsp.PlanarDecomposition(net.Rotation), // the planar embedding drives the separators
+		Workers:       -1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"sepsp/internal/baseline"
 	"sepsp/internal/core"
@@ -43,32 +42,21 @@ type fallbackEngine struct {
 	revOnce sync.Once
 	rev     *graph.Digraph // reverse graph, built lazily for distTo
 
-	queries atomic.Int64
-	engaged atomic.Int64
-
-	// Registry instruments; nil-safe no-ops without an Observer.
-	cEngaged *obs.Counter
-	cQueries *obs.Counter
-
-	// Live telemetry counters, set via setLiveCounters when a Telemetry
-	// attaches to a Server over this index (atomic: attachment races with
-	// in-flight degraded queries). Nil-safe no-ops until then.
-	liveEngaged atomic.Pointer[live.Counter]
-	liveQueries atomic.Pointer[live.Counter]
-}
-
-// setLiveCounters routes future engage/query counts to the live telemetry
-// registry as well ("sepsp_fallback_engaged_total" /
-// "sepsp_fallback_queries_total").
-func (f *fallbackEngine) setLiveCounters(engaged, queries *live.Counter) {
-	f.liveEngaged.Store(engaged)
-	f.liveQueries.Store(queries)
+	// engaged counts degradation causes and queries the queries answered
+	// here: the one count of each, which the Observer registry holds as
+	// fallback.engaged / fallback.queries when one is attached and
+	// Telemetry exposes as sepsp_fallback_*_total. An index rebuilt by
+	// WithWeights hands both to its successor's engine, so the counts run
+	// on across Manager swaps.
+	engaged, queries *live.Counter
 }
 
 // newFallbackEngine vets g for fallback service: baseline queries must
 // never fail at request time, so any negative cycle is detected now (one
 // super-source Bellman-Ford reaches every vertex, hence every cycle).
-func newFallbackEngine(g *graph.Digraph, sink *obs.Sink) (*fallbackEngine, error) {
+// prev, when non-nil, is the engine of the index g reweights, whose counts
+// the new engine continues.
+func newFallbackEngine(g *graph.Digraph, sink *obs.Sink, prev *fallbackEngine) (*fallbackEngine, error) {
 	nonneg := true
 	g.Edges(func(_, _ int, w float64) bool {
 		if w < 0 {
@@ -83,27 +71,21 @@ func newFallbackEngine(g *graph.Digraph, sink *obs.Sink) (*fallbackEngine, error
 			return nil, fmt.Errorf("%w: %v", ErrNegativeCycle, err)
 		}
 	}
-	return &fallbackEngine{
-		g:        g,
-		nonneg:   nonneg,
-		cEngaged: sink.Counter(obs.MFallbackEngaged),
-		cQueries: sink.Counter(obs.MFallbackQueries),
-	}, nil
+	f := &fallbackEngine{g: g, nonneg: nonneg,
+		engaged: sink.Counter(obs.MFallbackEngaged), queries: sink.Counter(obs.MFallbackQueries)}
+	if prev != nil {
+		f.engaged, f.queries = prev.engaged, prev.queries
+	} else if f.engaged == nil {
+		f.engaged, f.queries = live.NewCounter(), live.NewCounter()
+	}
+	return f, nil
 }
 
 // engage records one degradation cause (a build failure, an invariant
 // violation, or a recovered panic).
-func (f *fallbackEngine) engage() {
-	f.engaged.Add(1)
-	f.cEngaged.Inc()
-	f.liveEngaged.Load().Inc()
-}
+func (f *fallbackEngine) engage() { f.engaged.Inc() }
 
-func (f *fallbackEngine) note() {
-	f.queries.Add(1)
-	f.cQueries.Inc()
-	f.liveQueries.Load().Inc()
-}
+func (f *fallbackEngine) note() { f.queries.Inc() }
 
 // sssp answers one exact single-source query on the original graph. The
 // construction-time negative-cycle check guarantees this cannot fail, and

@@ -6,6 +6,7 @@ import (
 
 	"sepsp/internal/graph/gen"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/pram"
 )
 
@@ -21,7 +22,7 @@ func TestAlg41LevelAttributionSumsToTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
+	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: live.NewRegistry()}
 	st := &pram.Stats{}
 	res, err := Alg41(g, tree, Config{Stats: st, UseFloydWarshall: true, Obs: sink})
 	if err != nil {
@@ -71,7 +72,7 @@ func TestAlg43IterAttributionSumsToTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	sink := &obs.Sink{Metrics: live.NewRegistry()}
 	st := &pram.Stats{}
 	if _, err := Alg43(g, tree, Config{Stats: st, Obs: sink}); err != nil {
 		t.Fatal(err)
@@ -107,7 +108,7 @@ func TestAlg41ObsResultUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry(), PprofLabels: true}
+	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: live.NewRegistry(), PprofLabels: true}
 	inst, err := Alg41(g, tree, Config{Obs: sink})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/reach"
 	"sepsp/internal/separator"
 )
@@ -34,7 +35,7 @@ func TestEdgeViewBuiltOnlyOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := core.NewEngine(g, tree, core.Config{Obs: &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}})
+	observed, err := core.NewEngine(g, tree, core.Config{Obs: &obs.Sink{Trace: obs.NewTracer(), Metrics: live.NewRegistry()}})
 	if err != nil {
 		t.Fatal(err)
 	}

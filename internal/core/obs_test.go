@@ -6,6 +6,7 @@ import (
 	"sepsp/internal/graph"
 	"sepsp/internal/graph/gen"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/pram"
 )
 
@@ -66,7 +67,7 @@ func TestSchedulePhasesFormula(t *testing.T) {
 // counters sum exactly to the pram.Stats work total (which itself equals the
 // schedule's WorkPerSource), and the phase counter matches Phases().
 func TestQueryPhaseMetricsSumToStats(t *testing.T) {
-	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}
+	sink := &obs.Sink{Trace: obs.NewTracer(), Metrics: live.NewRegistry()}
 	eng, g := buildGridEngine(t, []int{9, 7}, gen.UniformWeights(0.5, 2), 9, Config{Obs: sink})
 
 	prepEvents := sink.Trace.Len() // spans emitted by E+ construction
@@ -129,7 +130,7 @@ func TestEngineObsDisabledPathUntouched(t *testing.T) {
 	}
 
 	obsEng, _ := buildGridEngine(t, []int{8, 8}, gen.UniformWeights(0.5, 2), 5,
-		Config{Obs: &obs.Sink{Metrics: obs.NewRegistry()}})
+		Config{Obs: &obs.Sink{Metrics: live.NewRegistry()}})
 	stObs := &pram.Stats{}
 	obsEng.SSSP(3, stObs)
 	if st.Work() != stObs.Work() || st.Rounds() != stObs.Rounds() ||

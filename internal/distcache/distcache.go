@@ -40,8 +40,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-
-	"sepsp/internal/obs/live"
 )
 
 // ErrLeaderPanicked answers a flight's waiters when the leader's
@@ -165,9 +163,6 @@ type Cache struct {
 	bytesNow   atomic.Int64
 	bytesTotal atomic.Int64
 	entriesN   atomic.Int64
-
-	// Live telemetry counters (nil no-ops until SetLiveCounters).
-	lHits, lMisses, lShared, lEvictions, lBytes *live.Counter
 }
 
 // New builds a cache for cfg, or returns nil (a valid always-miss cache)
@@ -207,16 +202,6 @@ func New(cfg Config) *Cache {
 		c.shards[i].budget = per
 	}
 	return c
-}
-
-// SetLiveCounters wires the cache's hit/miss/eviction/bytes/shared events
-// into live telemetry counters (each may be nil). Idempotent; called by
-// Telemetry attachment.
-func (c *Cache) SetLiveCounters(hits, misses, evictions, bytesTotal, shared *live.Counter) {
-	if c == nil {
-		return
-	}
-	c.lHits, c.lMisses, c.lEvictions, c.lBytes, c.lShared = hits, misses, evictions, bytesTotal, shared
 }
 
 // BumpGeneration marks every epoch below gen stale: stale entries stop
@@ -283,7 +268,6 @@ func (c *Cache) peek(src int, epoch uint64) *entry {
 	}
 	e.touch.Store(c.clock.Add(1))
 	c.hits.Add(1)
-	c.lHits.Inc()
 	return e
 }
 
@@ -376,12 +360,10 @@ func (c *Cache) Put(src int, epoch uint64, dist []float64) bool {
 
 	if n := int64(len(victims)); n > 0 {
 		c.evictions.Add(n)
-		c.lEvictions.Add(n)
 	}
 	c.entriesN.Add(1 - int64(len(victims)))
 	c.bytesNow.Store(c.residentBytes())
 	c.bytesTotal.Add(need)
-	c.lBytes.Add(need)
 	return true
 }
 
@@ -480,13 +462,11 @@ func (c *Cache) Do(ctx context.Context, src int, epoch uint64, compute func() ([
 						continue // leader-local failure: re-race for leadership
 					}
 					c.sharedN.Add(1)
-					c.lShared.Inc()
 					return nil, Shared, f.err
 				}
 				out := make([]float64, len(f.dist))
 				copy(out, f.dist)
 				c.sharedN.Add(1)
-				c.lShared.Inc()
 				return out, Shared, nil
 			case <-ctx.Done():
 				return nil, Shared, context.Cause(ctx)
@@ -496,7 +476,6 @@ func (c *Cache) Do(ctx context.Context, src int, epoch uint64, compute func() ([
 		c.flights[k] = f
 		c.fmu.Unlock()
 		c.misses.Add(1)
-		c.lMisses.Inc()
 		return c.lead(k, f, compute)
 	}
 }

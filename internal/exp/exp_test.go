@@ -8,6 +8,7 @@ import (
 
 	"sepsp/internal/graph"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/pram"
 )
 
@@ -111,7 +112,7 @@ func TestPhaseBreakdownExperiment(t *testing.T) {
 	// The experiment self-checks that both attribution tables reproduce the
 	// aggregate counts and errors otherwise, so a clean run is the assertion;
 	// the sink check confirms the caller's registry receives the counters.
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	sink := &obs.Sink{Metrics: live.NewRegistry()}
 	res, err := Run("E-phases", pram.Sequential, 1, sink)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"sepsp/internal/core"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/pram"
 )
 
@@ -25,10 +26,10 @@ func PhaseBreakdownExperiment(ex *pram.Executor, scale int, sink *obs.Sink) (*Re
 	// but fold into the caller's sink when present so exported snapshots
 	// include this run.
 	if sink == nil {
-		sink = &obs.Sink{Metrics: obs.NewRegistry()}
+		sink = &obs.Sink{Metrics: live.NewRegistry()}
 	} else if sink.Metrics == nil {
 		s := *sink
-		s.Metrics = obs.NewRegistry()
+		s.Metrics = live.NewRegistry()
 		sink = &s
 	}
 
@@ -105,6 +106,6 @@ func PhaseBreakdownExperiment(ex *pram.Executor, scale int, sink *obs.Sink) (*Re
 
 // counterDelta isolates this experiment's contribution when the caller's
 // sink already held counts from earlier runs.
-func counterDelta(after, before obs.Snapshot, name string) int64 {
+func counterDelta(after, before live.Snapshot, name string) int64 {
 	return after.Counters[name] - before.Counters[name]
 }

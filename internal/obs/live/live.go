@@ -1,9 +1,11 @@
-// Package live is the serving-time half of the observability layer: metric
+// Package live is the repository's one metrics registry: metric
 // primitives designed for per-query hot-path updates under heavy
-// concurrency, plus a Prometheus text exposition writer, so operators can
-// watch queue depth, admission, fallback engagement, and tail latency
-// while the server is live (the offline sibling, internal/obs, snapshots
-// after a run finishes).
+// concurrency, point-in-time snapshots with JSON and text exporters, and a
+// Prometheus text exposition writer. The public Observer (through
+// obs.Sink) and the serving Telemetry are both views over a Registry, so
+// operators can watch queue depth, admission, fallback engagement, and
+// tail latency while the server is live, and offline runs can export the
+// same counters after they finish.
 //
 // Everything here is lock-free on the write path:
 //
@@ -12,14 +14,16 @@
 //   - Gauge is one atomic float64 word.
 //   - Histogram buckets observations by power-of-two magnitude with one
 //     atomic add per observation and estimates quantiles from the bucket
-//     counts at scrape time (shared estimator: obs.HistogramSnapshot).
+//     counts at scrape time (HistogramSnapshot.Quantile).
+//   - CounterFunc and GaugeFunc expose counts and values another component
+//     already owns, read at snapshot time, so no event is counted twice.
 //   - Recorder (flight recorder) is a fixed-size per-slot-seqlock ring that
-//     captures the last N query/wave/failure events for postmortems.
+//     captures the last N query/failure/swap/cache events for postmortems.
 //
 // The package follows the repository's nil-collector idiom: a nil
-// *Counter, *Gauge, *Histogram, or *Recorder is valid and every method on
-// it is a no-op, so instrumented call sites cost one predictable branch
-// when live telemetry is off.
+// *Counter, *Gauge, *Histogram, *Registry, or *Recorder is valid and every
+// method on it is a no-op, so instrumented call sites cost one
+// predictable branch when telemetry is off.
 package live
 
 import (
@@ -33,8 +37,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"sepsp/internal/obs"
 )
 
 // nShards is the number of counter cells: the next power of two at or above
@@ -72,7 +74,9 @@ type pad64 struct {
 // cells, reads sum the cells. Reads are O(nShards) — scrape-time only.
 type Counter struct{ cells []pad64 }
 
-func newCounter() *Counter { return &Counter{cells: make([]pad64, nShards)} }
+// NewCounter returns a counter outside any registry, for a count whose
+// owner outlives the registries that expose it (through CounterFunc).
+func NewCounter() *Counter { return &Counter{cells: make([]pad64, nShards)} }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -196,14 +200,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Snapshot freezes the histogram into the offline snapshot type, which
-// carries the shared Quantile/Mean estimators. The snapshot count is
-// derived from the bucket counts so count and buckets always agree (the
-// exposition's +Inf bucket must equal _count even mid-scrape); the sum may
-// lag by the handful of in-flight observations — fine for telemetry,
-// never torn.
-func (h *Histogram) Snapshot() obs.HistogramSnapshot {
-	s := obs.HistogramSnapshot{Bounds: histBounds}
+// Snapshot freezes the histogram into a HistogramSnapshot, which carries
+// the Quantile/Mean estimators. The snapshot count is derived from the
+// bucket counts so count and buckets always agree (the exposition's +Inf
+// bucket must equal _count even mid-scrape); the sum may lag by the
+// handful of in-flight observations — fine for telemetry, never torn.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{Bounds: histBounds}
 	if h == nil {
 		return s
 	}
@@ -228,7 +231,7 @@ func (h *Histogram) Snapshot() obs.HistogramSnapshot {
 
 // histBounds is the shared bound slice every snapshot references (the
 // bounds are static, so one allocation serves all scrapes).
-var histBounds = obs.Log2Bounds(histMinExp, histMaxExp)
+var histBounds = Log2Bounds(histMinExp, histMaxExp)
 
 // Quantile estimates the q-quantile of the observations so far.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
@@ -248,14 +251,29 @@ const (
 	typeHistogram = "histogram"
 )
 
-// series is one labeled instance within a family: exactly one of c, g, fn,
-// h is set.
+// series is one labeled instance within a family: exactly one of c, cfn,
+// g, gfn, h is set.
 type series struct {
 	labels string // rendered label pairs, e.g. `outcome="ok"`, or ""
 	c      *Counter
+	cfn    func() int64
 	g      *Gauge
-	fn     func() float64
+	gfn    func() float64
 	h      *Histogram
+}
+
+func (s *series) counterValue() int64 {
+	if s.cfn != nil {
+		return s.cfn()
+	}
+	return s.c.Value()
+}
+
+func (s *series) gaugeValue() float64 {
+	if s.gfn != nil {
+		return s.gfn()
+	}
+	return s.g.Value()
 }
 
 // family groups the series sharing one metric name.
@@ -264,10 +282,10 @@ type family struct {
 	series          []*series
 }
 
-// Registry is a named collection of live instruments plus the scrape-time
-// exposition writer. Instrument registration takes a lock and happens at
-// setup; the returned instruments are lock-free thereafter. All methods
-// are safe for concurrent use; a nil *Registry hands out nil instruments.
+// Registry is a named collection of instruments plus the snapshot and
+// scrape-time exposition writers. Registration takes a lock; the returned
+// instruments are lock-free thereafter. All methods are safe for
+// concurrent use; a nil *Registry hands out nil instruments.
 type Registry struct {
 	mu    sync.Mutex
 	fams  []*family
@@ -279,10 +297,14 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*family)}
 }
 
-// ErrCollision reports a metric registered twice with a different type or
-// duplicate label set — a programming error surfaced as a panic, matching
-// the Prometheus client convention.
-func (r *Registry) getFamily(name, help, typ string) *family {
+// register returns the (name, labels) series, creating it with mk when
+// absent. An instrument registered again under the same type is shared:
+// the existing series is returned. A name registered under two types, and
+// any duplicate involving a func-backed series, is a programming error
+// surfaced as a panic, matching the Prometheus client convention.
+func (r *Registry) register(name, help, typ, labels string, isFunc bool, mk func() *series) *series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.index[name]
 	if f == nil {
 		f = &family{name: name, help: help, typ: typ}
@@ -291,62 +313,81 @@ func (r *Registry) getFamily(name, help, typ string) *family {
 	} else if f.typ != typ {
 		panic(fmt.Sprintf("live: metric %q registered as both %s and %s", name, f.typ, typ))
 	}
-	return f
-}
-
-func (r *Registry) add(name, help, typ, labels string, s *series) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, typ)
 	for _, old := range f.series {
 		if old.labels == labels {
-			panic(fmt.Sprintf("live: metric %q{%s} registered twice", name, labels))
+			if isFunc || old.cfn != nil || old.gfn != nil {
+				panic(fmt.Sprintf("live: metric %q{%s} registered twice", name, labels))
+			}
+			return old
 		}
 	}
+	s := mk()
 	s.labels = labels
 	f.series = append(f.series, s)
+	return s
 }
 
-// Counter registers (or creates) the labeled counter series. labels is a
-// rendered Prometheus label list without braces (`outcome="ok"`), or ""
-// for an unlabeled series.
+// families copies the family list under the lock; each copy's series
+// slice is the prefix registered so far.
+func (r *Registry) families() []family {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]family, len(r.fams))
+	for i, f := range r.fams {
+		out[i] = *f
+	}
+	return out
+}
+
+// Counter returns the labeled counter series, creating it on first use.
+// labels is a rendered Prometheus label list without braces
+// (`outcome="ok"`), or "" for an unlabeled series.
 func (r *Registry) Counter(name, help, labels string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c := newCounter()
-	r.add(name, help, typeCounter, labels, &series{c: c})
-	return c
+	return r.register(name, help, typeCounter, labels, false, func() *series { return &series{c: NewCounter()} }).c
 }
 
-// Gauge registers the labeled gauge series.
+// CounterFunc registers a counter whose value is read at snapshot and
+// scrape time — the shape for counts a component already owns, so a
+// registry exposes them instead of counting them a second time. fn must
+// be monotone.
+func (r *Registry) CounterFunc(name, help, labels string, fn func() int64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.register(name, help, typeCounter, labels, true, func() *series { return &series{cfn: fn} })
+}
+
+// Gauge returns the labeled gauge series, creating it on first use.
 func (r *Registry) Gauge(name, help, labels string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g := &Gauge{}
-	r.add(name, help, typeGauge, labels, &series{g: g})
-	return g
+	return r.register(name, help, typeGauge, labels, false, func() *series { return &series{g: &Gauge{}} }).g
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time —
-// the shape for values that already live elsewhere (queue depth, worker
-// busy counters) and should not be double-maintained.
+// GaugeFunc registers a gauge whose value is computed at snapshot and
+// scrape time — the shape for values that already live elsewhere (queue
+// depth, worker busy counters) and should not be double-maintained.
 func (r *Registry) GaugeFunc(name, help, labels string, fn func() float64) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.add(name, help, typeGauge, labels, &series{fn: fn})
+	r.register(name, help, typeGauge, labels, true, func() *series { return &series{gfn: fn} })
 }
 
-// Histogram registers the labeled histogram series.
+// Histogram returns the labeled histogram series, creating it on first
+// use.
 func (r *Registry) Histogram(name, help, labels string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	h := newHistogram()
-	r.add(name, help, typeHistogram, labels, &series{h: h})
-	return h
+	return r.register(name, help, typeHistogram, labels, false, func() *series { return &series{h: newHistogram()} }).h
 }
 
 // CounterValue returns the summed value of every series of the named
@@ -358,13 +399,14 @@ func (r *Registry) CounterValue(name string) int64 {
 	}
 	r.mu.Lock()
 	f := r.index[name]
-	r.mu.Unlock()
-	if f == nil || f.typ != typeCounter {
-		return 0
+	var ss []*series
+	if f != nil && f.typ == typeCounter {
+		ss = f.series
 	}
+	r.mu.Unlock()
 	var total int64
-	for _, s := range f.series {
-		total += s.c.Value()
+	for _, s := range ss {
+		total += s.counterValue()
 	}
 	return total
 }
@@ -387,27 +429,21 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range fams {
+	for _, f := range r.families() {
 		writeHeader(&b, f.name, f.help, f.typ)
 		for _, s := range f.series {
-			switch {
-			case s.c != nil:
-				writeSample(&b, f.name, s.labels, float64(s.c.Value()))
-			case s.g != nil:
-				writeSample(&b, f.name, s.labels, s.g.Value())
-			case s.fn != nil:
-				writeSample(&b, f.name, s.labels, s.fn())
-			case s.h != nil:
+			switch f.typ {
+			case typeCounter:
+				writeSample(&b, f.name, s.labels, float64(s.counterValue()))
+			case typeGauge:
+				writeSample(&b, f.name, s.labels, s.gaugeValue())
+			case typeHistogram:
 				writeHistogram(&b, f.name, s.labels, s.h.Snapshot())
 			}
 		}
-		for _, s := range f.series {
-			if s.h != nil {
+		if f.typ == typeHistogram {
+			for _, s := range f.series {
 				writeQuantiles(&b, f.name, s.labels, s.h.Snapshot())
 			}
 		}
@@ -440,7 +476,7 @@ func joinLabels(base, extra string) string {
 	return base + "," + extra
 }
 
-func writeHistogram(b *strings.Builder, name string, labels string, s obs.HistogramSnapshot) {
+func writeHistogram(b *strings.Builder, name string, labels string, s HistogramSnapshot) {
 	// Cumulative buckets; empty buckets are elided (the cumulative counts
 	// stay monotone without them) except the mandatory +Inf, keeping
 	// 64-bucket histograms readable.
@@ -458,7 +494,7 @@ func writeHistogram(b *strings.Builder, name string, labels string, s obs.Histog
 	writeSample(b, name+"_count", labels, float64(s.Count))
 }
 
-func writeQuantiles(b *strings.Builder, name, labels string, s obs.HistogramSnapshot) {
+func writeQuantiles(b *strings.Builder, name, labels string, s HistogramSnapshot) {
 	qname := name + "_quantile"
 	writeHeader(b, qname, "Bucket-estimated quantiles of "+name+".", typeGauge)
 	for _, q := range quantiles {
@@ -469,13 +505,8 @@ func writeQuantiles(b *strings.Builder, name, labels string, s obs.HistogramSnap
 // SortedNames returns the registered family names sorted — a stable view
 // for tests.
 func (r *Registry) SortedNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
+	var names []string
+	for _, f := range r.families() {
 		names = append(names, f.name)
 	}
 	sort.Strings(names)

@@ -10,7 +10,7 @@ import (
 // TestCounterConcurrentSum hammers one sharded counter from many
 // goroutines and checks nothing is lost.
 func TestCounterConcurrentSum(t *testing.T) {
-	c := newCounter()
+	c := NewCounter()
 	const workers, per = 16, 10000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -179,7 +179,7 @@ func TestRecorderSwapEventsSurviveTrafficFlood(t *testing.T) {
 	}
 	r.Record(Event{Kind: KindSwap, Epoch: 3, Source: -1})
 	for i := 0; i < 10_000; i++ {
-		r.Record(Event{Kind: KindWave, Source: -1})
+		r.Record(Event{Kind: KindFailure, Source: -1})
 	}
 	events := r.Snapshot()
 	var swaps []Event
@@ -328,13 +328,29 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// TestRegistryCollisionPanics pins the registration-error contract.
+// TestRegistryCollisionPanics pins the registration contract: a name
+// registered under two types panics, as does a duplicate func-backed
+// series, while a same-type instrument duplicate returns the existing
+// instance.
 func TestRegistryCollisionPanics(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("x_total", "", "")
+	c := reg.Counter("x_total", "", "")
+	if again := reg.Counter("x_total", "", ""); again != c {
+		t.Fatal("same-type duplicate counter is a new instance")
+	}
+	if reg.Counter("x_total", "", `k="v"`) == c {
+		t.Fatal("a different label set shares the unlabeled instance")
+	}
+	h := reg.Histogram("h", "", "")
+	if reg.Histogram("h", "", "") != h {
+		t.Fatal("same-type duplicate histogram is a new instance")
+	}
+	reg.CounterFunc("f_total", "", "", func() int64 { return 1 })
 	for name, f := range map[string]func(){
-		"type":      func() { reg.Gauge("x_total", "", "") },
-		"duplicate": func() { reg.Counter("x_total", "", "") },
+		"type":           func() { reg.Gauge("x_total", "", "") },
+		"func duplicate": func() { reg.CounterFunc("f_total", "", "", func() int64 { return 2 }) },
+		"func over inst": func() { reg.CounterFunc("x_total", "", "", func() int64 { return 2 }) },
+		"inst over func": func() { reg.Counter("f_total", "", "") },
 	} {
 		func() {
 			defer func() {
@@ -344,6 +360,131 @@ func TestRegistryCollisionPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestRegistrySnapshot checks the snapshot view: func-backed series are
+// read at snapshot time, unlabeled series are keyed by bare name, labeled
+// ones by name{labels}, and CounterValue sums instruments and funcs alike.
+func TestRegistrySnapshot(t *testing.T) {
+	reg := NewRegistry()
+	var owned int64 = 7
+	reg.CounterFunc("owned_total", "", "", func() int64 { return owned })
+	reg.Counter("owned_total", "", `k="a"`).Add(3)
+	reg.GaugeFunc("depth", "", "", func() float64 { return 2.5 })
+	reg.Histogram("h", "", "").Observe(4)
+	owned = 9
+	s := reg.Snapshot()
+	if s.Counters["owned_total"] != 9 || s.Counters[`owned_total{k="a"}`] != 3 {
+		t.Fatalf("counters = %v", s.Counters)
+	}
+	if s.Gauges["depth"] != 2.5 {
+		t.Fatalf("gauges = %v", s.Gauges)
+	}
+	if hs := s.Histograms["h"]; hs.Count != 1 || hs.Sum != 4 {
+		t.Fatalf("histogram = %+v", hs)
+	}
+	if got := reg.CounterValue("owned_total"); got != 12 {
+		t.Fatalf("CounterValue = %d, want 12", got)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "owned_total 9\n") {
+		t.Fatalf("exposition misses the func-backed counter:\n%s", b.String())
+	}
+	var nilReg *Registry
+	if s := nilReg.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Fatal("nil registry snapshot non-empty")
+	}
+}
+
+// TestRegistryConcurrentGetOrCreate: goroutines racing to create the same
+// series get one instance and lose no adds, while snapshots and scrapes
+// run alongside.
+func TestRegistryConcurrentGetOrCreate(t *testing.T) {
+	reg := NewRegistry()
+	const workers, per = 8, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			reg.Snapshot()
+			_ = reg.WritePrometheus(&strings.Builder{})
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				reg.Counter("shared_total", "", "").Inc()
+				reg.Counter("per_worker_total", "", `w="`+string(rune('a'+w))+`"`).Inc()
+				reg.Histogram("h", "", "").Observe(1)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	s := reg.Snapshot()
+	if got := s.Counters["shared_total"]; got != workers*per {
+		t.Fatalf("shared_total = %d, want %d", got, workers*per)
+	}
+	if got := reg.CounterValue("per_worker_total"); got != workers*per {
+		t.Fatalf("per_worker_total = %d, want %d", got, workers*per)
+	}
+	if got := s.Histograms["h"].Count; got != workers*per {
+		t.Fatalf("histogram count = %d, want %d", got, workers*per)
+	}
+}
+
+func TestHistogramQuantileEdgeCases(t *testing.T) {
+	var empty HistogramSnapshot
+	if got := empty.Quantile(0.5); got != 0 {
+		t.Fatalf("empty Quantile = %g, want 0", got)
+	}
+	// Boundary exactness: all mass in one bucket interpolates across it.
+	s := HistogramSnapshot{
+		Count:  4,
+		Bounds: []float64{1, 2, 4},
+		Counts: []int64{0, 4, 0, 0},
+	}
+	if got := s.Quantile(1); got != 2 {
+		t.Fatalf("Quantile(1) = %g, want upper bound 2", got)
+	}
+	if got := s.Quantile(0.5); got != 1.5 {
+		t.Fatalf("Quantile(0.5) = %g, want midpoint 1.5", got)
+	}
+	// Overflow-bucket mass clamps to the last bound.
+	over := HistogramSnapshot{
+		Count:  2,
+		Bounds: []float64{1, 2},
+		Counts: []int64{0, 0, 2},
+	}
+	if got := over.Quantile(0.99); got != 2 {
+		t.Fatalf("overflow Quantile = %g, want 2", got)
+	}
+}
+
+func TestLog2Bounds(t *testing.T) {
+	b := Log2Bounds(-2, 3)
+	want := []float64{0.25, 0.5, 1, 2, 4, 8}
+	if len(b) != len(want) {
+		t.Fatalf("len = %d, want %d", len(b), len(want))
+	}
+	for i := range want {
+		if b[i] != want[i] {
+			t.Fatalf("b[%d] = %g, want %g", i, b[i], want[i])
+		}
 	}
 }
 

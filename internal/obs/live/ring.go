@@ -12,8 +12,6 @@ type Kind uint8
 const (
 	// KindQuery is a query that completed successfully.
 	KindQuery Kind = iota
-	// KindWave is one served request's wave record (size 1).
-	KindWave
 	// KindFailure is a query that ended in anything but success (shed,
 	// timeout, cancellation, panic, typed error).
 	KindFailure
@@ -33,8 +31,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindQuery:
 		return "query"
-	case KindWave:
-		return "wave"
 	case KindFailure:
 		return "failure"
 	case KindSwap:
@@ -103,11 +99,11 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Time is the event time in Unix nanoseconds.
 	Time int64 `json:"time_unix_nano"`
-	// Kind is query, wave, or failure.
+	// Kind is query, failure, swap, cache-hit, or cache-miss.
 	Kind Kind `json:"kind"`
-	// Outcome is how the request (or wave) ended.
+	// Outcome is how the request (or rebuild) ended.
 	Outcome Outcome `json:"outcome"`
-	// Source is the query's source vertex (-1 for wave events).
+	// Source is the query's source vertex (-1 for swap events).
 	Source int32 `json:"source"`
 	// Wave is the id of the served request the event belongs to (0: never
 	// served — shed at admission or dead while queued).
@@ -119,7 +115,7 @@ type Event struct {
 	QueueNanos   int64 `json:"queue_ns"`
 	ComputeNanos int64 `json:"compute_ns"`
 	// Epoch is the serving epoch the event belongs to: the epoch whose
-	// index served the query or wave, and the new (or for a failed rebuild,
+	// index served the query, and the new (or for a failed rebuild,
 	// the retained) epoch for KindSwap events. 0 when the serving stack has
 	// no epoch lifecycle (an unmanaged index).
 	Epoch uint64 `json:"epoch"`
@@ -154,7 +150,7 @@ type slot struct {
 // be dropped from the snapshot, never corrupted.
 //
 // Lifecycle events (KindSwap) are rare but precious: a busy server's
-// query and wave traffic would lap them out of the main ring within
+// query traffic would lap them out of the main ring within
 // milliseconds of an epoch swap. They are stored in a small dedicated
 // ring instead, so the last lifecycleSlots of them survive any traffic
 // rate; Snapshot merges both rings back into one seq-ordered view.

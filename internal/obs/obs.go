@@ -1,5 +1,6 @@
 // Package obs is the observability layer of the separator engine: phase-
-// scoped tracing, a metrics registry, and profiling hooks, threaded through
+// scoped tracing, metric names, and profiling hooks over the repository's
+// one metrics registry (internal/obs/live), threaded through
 // preprocessing (internal/augment), queries (internal/core), the executor
 // (internal/pram), the CLI (cmd/sepsp) and the experiment harness
 // (internal/exp).
@@ -12,15 +13,17 @@
 // executor worker for load balance.
 //
 // Everything follows the repository's nil-collector idiom (see
-// pram.Stats): a nil *Tracer, *Registry, *Counter, or *Sink is valid and
-// every method on it is a no-op, so instrumented call sites cost one
-// predictable branch when observability is off.
+// pram.Stats): a nil *Tracer, *live.Registry, *live.Counter, or *Sink is
+// valid and every method on it is a no-op, so instrumented call sites cost
+// one predictable branch when observability is off.
 package obs
 
 import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+
+	"sepsp/internal/obs/live"
 )
 
 // Sink bundles the optional observability collectors that configs thread
@@ -29,7 +32,7 @@ type Sink struct {
 	// Trace collects phase spans for Chrome trace_event export (nil: off).
 	Trace *Tracer
 	// Metrics is the counter/gauge/histogram registry (nil: off).
-	Metrics *Registry
+	Metrics *live.Registry
 	// PprofLabels enables runtime/pprof label propagation around phase
 	// bodies, so CPU profiles can be filtered by phase=/level=. Labels are
 	// inherited by the executor's worker goroutines.
@@ -50,28 +53,31 @@ func (s *Sink) Span(name, cat string, kv ...any) Span {
 	return s.Trace.Start(name, cat, kv...)
 }
 
-// Counter returns the named registry counter (nil when metrics are off).
-func (s *Sink) Counter(name string) *Counter {
+// Counter returns the named unlabeled registry counter, creating it on
+// first use (nil when metrics are off).
+func (s *Sink) Counter(name string) *live.Counter {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Counter(name)
+	return s.Metrics.Counter(name, "", "")
 }
 
-// Gauge returns the named registry gauge (nil when metrics are off).
-func (s *Sink) Gauge(name string) *Gauge {
+// Gauge returns the named unlabeled registry gauge, creating it on first
+// use (nil when metrics are off).
+func (s *Sink) Gauge(name string) *live.Gauge {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Gauge(name)
+	return s.Metrics.Gauge(name, "", "")
 }
 
-// Histogram returns the named registry histogram (nil when metrics are off).
-func (s *Sink) Histogram(name string) *Histogram {
+// Histogram returns the named unlabeled registry histogram, creating it on
+// first use (nil when metrics are off).
+func (s *Sink) Histogram(name string) *live.Histogram {
 	if s == nil {
 		return nil
 	}
-	return s.Metrics.Histogram(name)
+	return s.Metrics.Histogram(name, "", "")
 }
 
 // Do runs f, wrapped in a runtime/pprof label set when PprofLabels is on.
@@ -106,9 +112,9 @@ const (
 	MExecImbalance      = "exec.imbalance" // max/mean worker busy iterations
 	MExecWorkers        = "exec.workers"   // executor pool size
 
-	// Server (concurrent query serving) series.
+	// Server (concurrent query serving) series: views over the counts a
+	// Server keeps for Healthz.
 	MServerQueueDepth = "server.queue.depth" // gauge: requests waiting for a serving slot
-	MServerWaveSize   = "server.wave.size"   // histogram: requests per served wave (always 1)
 	MServerWaves      = "server.waves"       // counter: served requests, one wave each
 	MServerRequests   = "server.requests"    // counter: admitted requests
 	MServerRejected   = "server.rejected"    // counter: requests refused at admission

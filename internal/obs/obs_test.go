@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sepsp/internal/obs/live"
 )
 
 func TestNilCollectorsAreNoOps(t *testing.T) {
@@ -23,14 +25,14 @@ func TestNilCollectorsAreNoOps(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var reg *Registry
-	reg.Counter("a").Add(5)
-	reg.Gauge("b").Set(1)
-	reg.Histogram("c").Observe(1)
-	if reg.CounterValue("a") != 0 {
-		t.Fatal("nil registry counted")
+	off := &Sink{Trace: tr}
+	off.Counter("a").Add(5)
+	off.Gauge("b").Set(1)
+	off.Histogram("c").Observe(1)
+	if off.Metrics.CounterValue("a") != 0 {
+		t.Fatal("sink without metrics counted")
 	}
-	snap := reg.Snapshot()
+	snap := off.Metrics.Snapshot()
 	if len(snap.Counters) != 0 {
 		t.Fatal("nil registry snapshot non-empty")
 	}
@@ -41,6 +43,7 @@ func TestNilCollectorsAreNoOps(t *testing.T) {
 	}
 	sink.Span("x", "c").End()
 	sink.Counter("a").Inc()
+	sink.Histogram("c").Observe(1)
 	ran := false
 	sink.Do(func() { ran = true }, "phase", "p")
 	if !ran {
@@ -110,7 +113,7 @@ func TestTracerConcurrentSpans(t *testing.T) {
 }
 
 func TestRegistrySnapshotAndSums(t *testing.T) {
-	r := NewRegistry()
+	r := &Sink{Metrics: live.NewRegistry()}
 	r.Counter(LevelKey(MPrepWork, 0)).Add(10)
 	r.Counter(LevelKey(MPrepWork, 12)).Add(32)
 	r.Counter("other").Add(5)
@@ -121,11 +124,11 @@ func TestRegistrySnapshotAndSums(t *testing.T) {
 
 	// Same name must return the same instrument.
 	r.Counter("other").Add(1)
-	if got := r.CounterValue("other"); got != 6 {
+	if got := r.Metrics.CounterValue("other"); got != 6 {
 		t.Fatalf("counter identity broken: %d", got)
 	}
 
-	snap := r.Snapshot()
+	snap := r.Metrics.Snapshot()
 	if got := snap.SumCounters(MPrepWork + ".level."); got != 42 {
 		t.Fatalf("SumCounters=%d, want 42", got)
 	}
@@ -141,7 +144,7 @@ func TestRegistrySnapshotAndSums(t *testing.T) {
 	if err := snap.WriteJSON(&jbuf); err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
+	var back live.Snapshot
 	if err := json.Unmarshal(jbuf.Bytes(), &back); err != nil {
 		t.Fatalf("metrics JSON invalid: %v", err)
 	}
@@ -211,23 +214,23 @@ func TestSinkDoAppliesLabels(t *testing.T) {
 }
 
 func TestHistogramSnapshotQuantile(t *testing.T) {
-	// 100 observations of 1..100 in DefaultBuckets (powers of four).
-	reg := NewRegistry()
-	h := reg.Histogram("q")
+	// 100 observations of 1..100 in the registry's log2 buckets.
+	sink := &Sink{Metrics: live.NewRegistry()}
+	h := sink.Histogram("q")
 	for v := 1; v <= 100; v++ {
 		h.Observe(float64(v))
 	}
-	s := reg.Snapshot().Histograms["q"]
+	s := sink.Metrics.Snapshot().Histograms["q"]
 	if s.Count != 100 {
 		t.Fatalf("Count = %d, want 100", s.Count)
 	}
 	for _, tc := range []struct{ q, lo, hi float64 }{
 		// The estimate must land in the same bucket as the true order
-		// statistic: p50 (true 50) in (16, 64], p99 (true 99) in (64, 256].
-		{0.5, 16, 64},
-		{0.99, 64, 256},
-		{0, 0, 1},    // clamped to rank 1: first bucket
-		{1, 64, 256}, // rank 100
+		// statistic: p50 (true 50) in (32, 64], p99 (true 99) in (64, 128].
+		{0.5, 32, 64},
+		{0.99, 64, 128},
+		{0, 1, 1},    // rank 1, clamped to the minimum
+		{1, 64, 100}, // rank 100, clamped to the maximum
 	} {
 		got := s.Quantile(tc.q)
 		if got < tc.lo || got > tc.hi {
@@ -236,51 +239,10 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileEdgeCases(t *testing.T) {
-	var empty HistogramSnapshot
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %g, want 0", got)
-	}
-	// Boundary exactness: all mass in one bucket interpolates across it.
-	s := HistogramSnapshot{
-		Count:  4,
-		Bounds: []float64{1, 2, 4},
-		Counts: []int64{0, 4, 0, 0},
-	}
-	if got := s.Quantile(1); got != 2 {
-		t.Fatalf("Quantile(1) = %g, want upper bound 2", got)
-	}
-	if got := s.Quantile(0.5); got != 1.5 {
-		t.Fatalf("Quantile(0.5) = %g, want midpoint 1.5", got)
-	}
-	// Overflow-bucket mass clamps to the last bound.
-	over := HistogramSnapshot{
-		Count:  2,
-		Bounds: []float64{1, 2},
-		Counts: []int64{0, 0, 2},
-	}
-	if got := over.Quantile(0.99); got != 2 {
-		t.Fatalf("overflow Quantile = %g, want 2", got)
-	}
-}
-
-func TestLog2Bounds(t *testing.T) {
-	b := Log2Bounds(-2, 3)
-	want := []float64{0.25, 0.5, 1, 2, 4, 8}
-	if len(b) != len(want) {
-		t.Fatalf("len = %d, want %d", len(b), len(want))
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("b[%d] = %g, want %g", i, b[i], want[i])
-		}
-	}
-}
-
-// TestHistogramQuantileClampedToObservedRange: every estimate lies inside
-// [min, max] of what was observed, so a constant distribution returns the
-// constant exactly and no quantile can fall below the smallest or above
-// the largest observation.
+// TestHistogramQuantileClampedToObservedRange: every estimate of a sink
+// histogram lies inside [min, max] of what was observed, so a constant
+// distribution returns the constant exactly and no quantile can fall
+// below the smallest or above the largest observation.
 func TestHistogramQuantileClampedToObservedRange(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -293,25 +255,25 @@ func TestHistogramQuantileClampedToObservedRange(t *testing.T) {
 		{"constant 3.7 p0", repeat(3.7, 10), 0, 3.7, 3.7},
 		{"constant 3.7 p100", repeat(3.7, 10), 1, 3.7, 3.7},
 		{"constant 0 p50", repeat(0, 10), 0.5, 0, 0},
-		{"overflow constant p99", repeat(1e6, 5), 0.99, 1e6, 1e6},
-		// 1..100 in powers-of-four buckets: p50 stays in the true order
-		// statistic's bucket (16, 64], p1 cannot undershoot the minimum,
-		// p100 cannot overshoot the maximum.
-		{"uniform p50", seq(1, 100), 0.5, 16, 64},
+		{"large constant p99", repeat(1e6, 5), 0.99, 1e6, 1e6},
+		// 1..100 in log2 buckets: p50 stays in the true order statistic's
+		// bucket (32, 64], p1 cannot undershoot the minimum, p100 cannot
+		// overshoot the maximum.
+		{"uniform p50", seq(1, 100), 0.5, 32, 64},
 		{"uniform p1", seq(1, 100), 0.01, 1, 1},
 		{"uniform p100", seq(1, 100), 1, 64, 100},
-		// Two point masses at 5 and 50: the low half sits in (4, 16],
-		// clamped from below to 5; the high half in (16, 64], clamped
+		// Two point masses at 5 and 50: the low half sits in (4, 8],
+		// clamped from below to 5; the high half in (32, 64], clamped
 		// from above to 50.
-		{"bimodal p25", append(repeat(5, 50), repeat(50, 50)...), 0.25, 5, 16},
-		{"bimodal p99", append(repeat(5, 50), repeat(50, 50)...), 0.99, 16, 50},
+		{"bimodal p25", append(repeat(5, 50), repeat(50, 50)...), 0.25, 5, 8},
+		{"bimodal p99", append(repeat(5, 50), repeat(50, 50)...), 0.99, 32, 50},
 	} {
-		reg := NewRegistry()
-		h := reg.Histogram("h")
+		sink := &Sink{Metrics: live.NewRegistry()}
+		h := sink.Histogram("h")
 		for _, v := range tc.obs {
 			h.Observe(v)
 		}
-		got := reg.Snapshot().Histograms["h"].Quantile(tc.q)
+		got := sink.Metrics.Snapshot().Histograms["h"].Quantile(tc.q)
 		if got < tc.lo || got > tc.hi {
 			t.Errorf("%s: Quantile(%g) = %g, want in [%g, %g]", tc.name, tc.q, got, tc.lo, tc.hi)
 		}

@@ -353,19 +353,13 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 	// evicted first, while requests already keyed at an old epoch simply
 	// stop matching (new requests read the post-swap epoch for their key).
 	m.cache.Load().BumpGeneration(next)
-	tel := m.tel.Load()
-	if tel != nil && res.ix.fb != nil {
-		// Re-wire the fresh fallback engine's live counters (the old
-		// index's engine carried them until now).
-		res.ix.fb.setLiveCounters(tel.fbEngaged, tel.fbQueries)
-	}
 	e := &epochIndex{ix: res.ix, id: next}
 	e.refs.Store(1)
 	m.draining.Add(1) // the old epoch starts draining at the swap below
 	m.cur.Store(e)
 	m.swaps.Add(1)
 	m.release(old) // drop the base reference; drained once requests finish
-	if tel != nil {
+	if tel := m.tel.Load(); tel != nil {
 		tel.recordRebuild(next, elapsed, true)
 	}
 	if m.logger != nil {

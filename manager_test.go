@@ -26,7 +26,7 @@ import (
 func reweightFixture(t testing.TB, seed int64) (*Index, *Graph, int) {
 	t.Helper()
 	g1, grid := gridGraph(t, 8, 8, 1)
-	ix, err := Build(g1, &Options{Coordinates: grid.Coord})
+	ix, err := Build(g1, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestManagerOldEpochDrainsOnLastRelease(t *testing.T) {
 func TestServerReweightUnderLoad(t *testing.T) {
 	g1, grid := gridGraph(t, 10, 10, 1)
 	n := grid.G.N()
-	ix, err := Build(g1, &Options{Coordinates: grid.Coord, Workers: 2})
+	ix, err := Build(g1, &Options{Decomposition: GridDecomposition(grid.Coord), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestPersistEpochRoundTrip(t *testing.T) {
 // epoch-0 index (backward compatibility of the format bump).
 func TestLoadPreEpochBlob(t *testing.T) {
 	gg, grid := gridGraph(t, 6, 6, 7)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestBuildContextCancelledNeverDegrades(t *testing.T) {
 	g, grid := gridGraph(t, 8, 8, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ix, err := BuildContext(ctx, g, &Options{Coordinates: grid.Coord, Fallback: FallbackBaseline})
+	ix, err := BuildContext(ctx, g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -407,7 +407,7 @@ func TestBuildContextCancelledNeverDegrades(t *testing.T) {
 		t.Fatal("cancelled build returned an index (fallback must not engage on cancellation)")
 	}
 	// The same options build fine with a live context.
-	if _, err := BuildContext(context.Background(), g, &Options{Coordinates: grid.Coord, Fallback: FallbackBaseline}); err != nil {
+	if _, err := BuildContext(context.Background(), g, &Options{Decomposition: GridDecomposition(grid.Coord), Fallback: FallbackBaseline}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -415,15 +415,15 @@ func TestBuildContextCancelledNeverDegrades(t *testing.T) {
 func TestOptionsValidate(t *testing.T) {
 	g, grid := gridGraph(t, 4, 4, 1)
 	_ = g
-	if err := (&Options{Coordinates: grid.Coord}).Validate(); err != nil {
+	if err := (&Options{Decomposition: GridDecomposition(grid.Coord)}).Validate(); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
-	bad := &Options{Coordinates: grid.Coord, Rotations: [][]int{{0}}}
+	bad := &Options{Decomposition: TreeDecomposition([][]int{{0}, {1}}, []int{-1})}
 	if err := bad.Validate(); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("conflicting hints: err = %v, want ErrBadOptions", err)
+		t.Fatalf("inconsistent decomposition: err = %v, want ErrBadOptions", err)
 	}
 	// BuildContext rejects the same options with the same sentinel.
 	if _, err := BuildContext(context.Background(), g, bad); !errors.Is(err, ErrBadOptions) {
-		t.Fatalf("BuildContext with conflicting hints: err = %v, want ErrBadOptions", err)
+		t.Fatalf("BuildContext with inconsistent decomposition: err = %v, want ErrBadOptions", err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	gg, grid := gridGraph(t, 9, 8, 41)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadRejectsCorruptTree(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLoadRejectsCorruptTree(t *testing.T) {
 
 func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	gg, grid := gridGraph(t, 9, 8, 41)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 
 func TestSaveFileReplacesAtomically(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSaveFileReplacesAtomically(t *testing.T) {
 
 func TestSaveFileFailureLeavesNoLitter(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSaveFileFailureLeavesNoLitter(t *testing.T) {
 // error — silently skipping it would undo the crash-safety the rename buys.
 func TestSaveFileFsyncsDir(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 42)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,7 @@ import (
 	"sepsp/internal/faultinject"
 	"sepsp/internal/graph"
 	"sepsp/internal/obs"
+	"sepsp/internal/obs/live"
 	"sepsp/internal/oracle"
 	"sepsp/internal/pram"
 	"sepsp/internal/reach"
@@ -100,42 +101,9 @@ type Options struct {
 
 	// Decomposition selects the separator strategy, built with one of the
 	// typed constructors (GridDecomposition, GeometricDecomposition,
-	// TreeDecomposition, PlanarDecomposition). Nil — and no deprecated
-	// hint field set — selects the generic BFS-layer finder.
+	// TreeDecomposition, PlanarDecomposition). Nil selects the generic
+	// BFS-layer finder.
 	Decomposition *Decomposition
-
-	// The remaining hint fields are the pre-Decomposition API. At most one
-	// hint may be set, and none may be combined with Decomposition; Build
-	// fails with ErrBadOptions otherwise.
-
-	// Coordinates enables hyperplane separators for lattice graphs:
-	// Coordinates[v] is the integer grid coordinate of vertex v.
-	//
-	// Deprecated: set Decomposition with GridDecomposition instead.
-	Coordinates [][]int
-	// Points/Radius enable slab separators for geometric (radius) graphs.
-	//
-	// Deprecated: set Decomposition with GeometricDecomposition instead.
-	Points [][]float64
-	// Radius is the connection radius accompanying Points.
-	//
-	// Deprecated: set Decomposition with GeometricDecomposition instead.
-	Radius float64
-	// Bags/BagParents enable tree-decomposition (centroid-bag) separators
-	// for bounded-treewidth graphs.
-	//
-	// Deprecated: set Decomposition with TreeDecomposition instead.
-	Bags [][]int
-	// BagParents is the bag-tree parent array accompanying Bags.
-	//
-	// Deprecated: set Decomposition with TreeDecomposition instead.
-	BagParents []int
-	// Rotations enables fundamental-cycle separators for embedded planar
-	// graphs: Rotations[v] lists v's neighbors in cyclic (clockwise or
-	// counterclockwise, consistently) order around v.
-	//
-	// Deprecated: set Decomposition with PlanarDecomposition instead.
-	Rotations [][]int
 
 	// Observer, when non-nil, collects phase-scoped traces and metrics for
 	// the build and for every query on the returned Index, and enables the
@@ -178,18 +146,23 @@ func (o *Options) executor() *pram.Executor {
 }
 
 // Observer collects observability data — trace spans per preprocessing tree
-// level and per query phase, a metrics registry, optional pprof phase
-// labels — for one Build and the queries on its Index. Exporters emit
-// Chrome trace_event JSON (chrome://tracing, Perfetto) and metric
-// snapshots. An Observer must not be shared between concurrently built
-// indexes (the per-level counters would mix).
+// level and per query phase, optional pprof phase labels — for one Build
+// and the queries on its Index, and is a snapshot and export view over one
+// metrics registry: the engine's per-level and per-phase-kind counters
+// live in it, and an attached Server's request counts are exposed through
+// it, not counted twice. Exporters emit Chrome trace_event JSON
+// (chrome://tracing, Perfetto) and metric snapshots. An Observer must not
+// be shared between concurrently built indexes (the per-level counters
+// would mix), and it serves at most one Server.
 type Observer struct {
 	sink *obs.Sink
+	// serving is set by the one Server whose counts the registry exposes.
+	serving atomic.Bool
 }
 
 // NewObserver returns an observer with tracing and metrics enabled.
 func NewObserver() *Observer {
-	return &Observer{sink: &obs.Sink{Trace: obs.NewTracer(), Metrics: obs.NewRegistry()}}
+	return &Observer{sink: &obs.Sink{Trace: obs.NewTracer(), Metrics: live.NewRegistry()}}
 }
 
 // EnablePprofLabels turns on runtime/pprof label propagation (phase=,
@@ -217,7 +190,7 @@ func (o *Observer) CounterValue(name string) int64 {
 	return o.sink.Metrics.CounterValue(name)
 }
 
-// GaugeValue returns the last value set on the named registry gauge
+// GaugeValue returns the current value of the named registry gauge
 // (0 if it was never set).
 func (o *Observer) GaugeValue(name string) float64 {
 	return o.sink.Metrics.Snapshot().Gauges[name]
@@ -239,55 +212,20 @@ func (o *Observer) HistogramQuantile(name string, q float64) float64 {
 }
 
 // Validate checks the Options for the misconfigurations Build would reject
-// — conflicting or malformed decomposition hints, a Decomposition built
-// from inconsistent inputs, a zero Decomposition value — and returns an
-// error wrapping ErrBadOptions (nil for a valid or nil Options). Build
-// runs the same checks; Validate lets callers fail fast before paying for
-// graph construction.
+// — a Decomposition built from inconsistent inputs, a zero Decomposition
+// value — and returns an error wrapping ErrBadOptions (nil for a valid or
+// nil Options). Build runs the same checks; Validate lets callers fail
+// fast before paying for graph construction.
 func (o *Options) Validate() error {
 	_, err := o.finder()
 	return err
 }
 
 func (o *Options) finder() (separator.Finder, error) {
-	if o == nil {
+	if o == nil || o.Decomposition == nil {
 		return &separator.BFSFinder{}, nil
-	}
-	// Deprecated hint fields forward through the typed constructors, so
-	// validation lives in one place.
-	var legacy *Decomposition
-	set := 0
-	if o.Coordinates != nil {
-		set++
-		legacy = GridDecomposition(o.Coordinates)
-	}
-	if o.Points != nil {
-		set++
-		legacy = GeometricDecomposition(o.Points, o.Radius)
-	}
-	if o.Bags != nil {
-		set++
-		legacy = TreeDecomposition(o.Bags, o.BagParents)
-	}
-	if o.Rotations != nil {
-		set++
-		legacy = PlanarDecomposition(o.Rotations)
-	}
-	if set > 1 {
-		return nil, fmt.Errorf("%w: at most one decomposition hint may be set", ErrBadOptions)
 	}
 	d := o.Decomposition
-	if d != nil {
-		if legacy != nil {
-			return nil, fmt.Errorf("%w: Decomposition conflicts with deprecated hint field (%s hint)",
-				ErrBadOptions, legacy.Kind())
-		}
-	} else {
-		d = legacy
-	}
-	if d == nil {
-		return &separator.BFSFinder{}, nil
-	}
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -477,7 +415,7 @@ func BuildContext(ctx context.Context, g *Graph, opt *Options) (*Index, error) {
 	if policy == FallbackBaseline {
 		// Vet the graph for fallback service up front: a negative cycle
 		// makes distances undefined for every engine, so it stays an error.
-		if fb, err = newFallbackEngine(dg, sink); err != nil {
+		if fb, err = newFallbackEngine(dg, sink, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -548,10 +486,10 @@ func buildPrimary(ctx context.Context, dg *graph.Digraph, finder separator.Finde
 			ix.stats.Levels = levelBreakdown(sink.Metrics, tree)
 		}
 		max, mean, imb := ex.LoadStats()
-		sink.Metrics.Gauge(obs.MExecWorkers).Set(float64(ex.P()))
-		sink.Metrics.Gauge(obs.MExecImbalance).Set(imb)
-		sink.Metrics.Gauge("exec.busy.max").Set(float64(max))
-		sink.Metrics.Gauge("exec.busy.mean").Set(mean)
+		sink.Gauge(obs.MExecWorkers).Set(float64(ex.P()))
+		sink.Gauge(obs.MExecImbalance).Set(imb)
+		sink.Gauge("exec.busy.max").Set(float64(max))
+		sink.Gauge("exec.busy.mean").Set(mean)
 	}
 	return ix, nil
 }
@@ -631,7 +569,7 @@ func phaseBreakdown(s *core.Schedule) []PhaseStat {
 
 // levelBreakdown reads the per-level counters Algorithm 4.1 recorded into
 // the observer's registry back into the public Stats shape.
-func levelBreakdown(reg *obs.Registry, tree *separator.Tree) []LevelStat {
+func levelBreakdown(reg *live.Registry, tree *separator.Tree) []LevelStat {
 	nodes := make([]int, tree.Height+1)
 	for i := range tree.Nodes {
 		nodes[tree.Nodes[i].Level]++
@@ -928,7 +866,7 @@ func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, erro
 	var fb *fallbackEngine
 	if ix.fb != nil {
 		var err error
-		if fb, err = newFallbackEngine(dg, ix.sink); err != nil {
+		if fb, err = newFallbackEngine(dg, ix.sink, ix.fb); err != nil {
 			return nil, err
 		}
 	}

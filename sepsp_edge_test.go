@@ -117,7 +117,7 @@ func TestParallelEdgesKeepMinimum(t *testing.T) {
 
 func TestOraclePublicAPI(t *testing.T) {
 	gg, grid := gridGraph(t, 8, 7, 31)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

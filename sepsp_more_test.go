@@ -11,7 +11,7 @@ import (
 
 func TestDistTo(t *testing.T) {
 	gg, grid := gridGraph(t, 7, 6, 21)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDistTo(t *testing.T) {
 
 func TestWithWeightsReusesDecomposition(t *testing.T) {
 	gg, grid := gridGraph(t, 8, 8, 22)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWithWeightsReusesDecomposition(t *testing.T) {
 
 func TestWithWeightsRejectsDifferentSkeleton(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 23)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWithWeightsRejectsDifferentSkeleton(t *testing.T) {
 
 func TestWithWeightsDetectsNewNegativeCycle(t *testing.T) {
 	gg, grid := gridGraph(t, 5, 5, 24)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

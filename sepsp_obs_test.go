@@ -34,7 +34,7 @@ func obsTestGraph(t *testing.T) (*Graph, [][]int) {
 func TestObserverMetricsReconcileWithStats(t *testing.T) {
 	g, coords := obsTestGraph(t)
 	ob := NewObserver()
-	ix, err := Build(g, &Options{Coordinates: coords, Observer: ob})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestObserverMetricsReconcileWithStats(t *testing.T) {
 func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 	g, coords := obsTestGraph(t)
 	ob := NewObserver()
-	ix, err := Build(g, &Options{Coordinates: coords, Observer: ob})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords), Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestObserverTraceHasAllPrepLevelsAndQueryPhases(t *testing.T) {
 // TestBuildWithoutObserverLeavesLevelsNil guards the disabled fast path.
 func TestBuildWithoutObserverLeavesLevelsNil(t *testing.T) {
 	g, coords := obsTestGraph(t)
-	ix, err := Build(g, &Options{Coordinates: coords})
+	ix, err := Build(g, &Options{Decomposition: GridDecomposition(coords)})
 	if err != nil {
 		t.Fatal(err)
 	}

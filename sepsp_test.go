@@ -35,9 +35,9 @@ func TestBuildAndQueryAllDecompositions(t *testing.T) {
 	ref := refGraph(gg)
 	for name, opt := range map[string]*Options{
 		"auto":   nil,
-		"coords": {Coordinates: grid.Coord},
-		"alg43":  {Coordinates: grid.Coord, Algorithm: Simultaneous},
-		"par":    {Coordinates: grid.Coord, Workers: 4},
+		"coords": {Decomposition: GridDecomposition(grid.Coord)},
+		"alg43":  {Decomposition: GridDecomposition(grid.Coord), Algorithm: Simultaneous},
+		"par":    {Decomposition: GridDecomposition(grid.Coord), Workers: 4},
 	} {
 		ix, err := Build(gg, opt)
 		if err != nil {
@@ -63,7 +63,7 @@ func TestBuildGeometric(t *testing.T) {
 		g.AddEdge(from, to, w)
 		return true
 	})
-	ix, err := Build(g, &Options{Points: geo.Points, Radius: 0.12})
+	ix, err := Build(g, &Options{Decomposition: GeometricDecomposition(geo.Points, 0.12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBuildKTree(t *testing.T) {
 		g.AddEdge(from, to, w)
 		return true
 	})
-	ix, err := Build(g, &Options{Bags: kt.Decomp.Bags, BagParents: kt.Decomp.Parent})
+	ix, err := Build(g, &Options{Decomposition: TreeDecomposition(kt.Decomp.Bags, kt.Decomp.Parent)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestNegativeCycleError(t *testing.T) {
 
 func TestPathAndTree(t *testing.T) {
 	gg, grid := gridGraph(t, 7, 7, 4)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestReachable(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	gg, grid := gridGraph(t, 12, 12, 5)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,21 +179,18 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	gg, grid := gridGraph(t, 4, 4, 6)
-	if _, err := Build(gg, &Options{Points: [][]float64{{0, 0}}}); err == nil {
+	gg, _ := gridGraph(t, 4, 4, 6)
+	if _, err := Build(gg, &Options{Decomposition: GeometricDecomposition([][]float64{{0, 0}}, 0)}); err == nil {
 		t.Fatal("missing radius not rejected")
 	}
-	if _, err := Build(gg, &Options{Coordinates: grid.Coord, Points: [][]float64{{0}}, Radius: 1}); err == nil {
-		t.Fatal("conflicting hints not rejected")
-	}
-	if _, err := Build(gg, &Options{Bags: [][]int{{0}}, BagParents: nil}); err == nil {
+	if _, err := Build(gg, &Options{Decomposition: TreeDecomposition([][]int{{0}}, nil)}); err == nil {
 		t.Fatal("bag arity not rejected")
 	}
 }
 
 func TestSourcesBatch(t *testing.T) {
 	gg, grid := gridGraph(t, 8, 8, 7)
-	ix, err := Build(gg, &Options{Coordinates: grid.Coord, Workers: -1})
+	ix, err := Build(gg, &Options{Decomposition: GridDecomposition(grid.Coord), Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

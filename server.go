@@ -49,12 +49,13 @@ type ServerOptions struct {
 	// results are never cached. 0 (the default) disables the cache at zero
 	// per-request cost.
 	CacheBytes int64
-	// Observer, when non-nil, receives the server's serving metrics in its
-	// registry: queue depth ("server.queue.depth" gauge), wave sizes
-	// ("server.wave.size" histogram; every served request is one wave of
-	// size 1), and admitted / refused / cancelled / timed-out request,
-	// wave, and recovered-panic counters. It may be the same Observer the
-	// Index was built with.
+	// Observer, when non-nil, exposes the server's Healthz counts in its
+	// registry: queue depth ("server.queue.depth" gauge) and the admitted /
+	// refused / cancelled / timed-out request, served-wave (one per served
+	// request), and recovered-panic counters, read from the same counts
+	// Healthz reports. It may be the same Observer the Index was built
+	// with, but it serves at most one Server: NewServer fails with
+	// ErrBadOptions for an Observer another Server already uses.
 	Observer *Observer
 	// Inject, when non-nil, fires the fault-injection harness once per
 	// served request, just before its kernel runs ("server.wave"). Chaos
@@ -164,8 +165,8 @@ type Server struct {
 
 	wg sync.WaitGroup // admitted requests not yet answered; Close waits
 
-	// Always-on counters backing Healthz (the obs instruments below are
-	// nil no-ops without an Observer).
+	// Always-on counters backing Healthz; an attached Observer or
+	// Telemetry reads them rather than counting again.
 	nRequests  atomic.Int64
 	nRejected  atomic.Int64
 	nCancelled atomic.Int64
@@ -174,16 +175,6 @@ type Server struct {
 	nPanics    atomic.Int64
 	nBrownouts atomic.Int64
 	nEvicted   atomic.Int64
-
-	// Metric instruments; nil (no-op) without an Observer.
-	depth     *obs.Gauge
-	waveSize  *obs.Histogram
-	waves     *obs.Counter
-	requests  *obs.Counter
-	rejected  *obs.Counter
-	cancelled *obs.Counter
-	timedout  *obs.Counter
-	panics    *obs.Counter
 
 	// Live telemetry and structured logging; both nil by default, and the
 	// hot path pays only a nil check for each.
@@ -222,7 +213,7 @@ func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	maxInFlight := 1024
 	var queueTimeout time.Duration
 	var inj faultinject.Injector
-	var reg *obs.Registry
+	var ob *Observer
 	var tel *Telemetry
 	var logger *slog.Logger
 	var admOpt AdmissionOptions
@@ -237,9 +228,7 @@ func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
 		}
 		queueTimeout = opt.QueueTimeout
 		inj = opt.Inject
-		if opt.Observer != nil {
-			reg = opt.Observer.sink.Metrics
-		}
+		ob = opt.Observer
 		tel = opt.Telemetry
 		logger = opt.Logger
 		if opt.Admission != nil {
@@ -248,6 +237,9 @@ func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
 	}
 	if admOpt.Initial < 0 || admOpt.Min < 0 {
 		return nil, fmt.Errorf("%w: admission limits must be non-negative", ErrBadOptions)
+	}
+	if ob != nil && !ob.serving.CompareAndSwap(false, true) {
+		return nil, fmt.Errorf("%w: the Observer already serves another Server", ErrBadOptions)
 	}
 	mgrOpt := &ManagerOptions{
 		Telemetry:      tel,
@@ -279,14 +271,6 @@ func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
 		brown:       admission.NewBrownout(brownCfg),
 		fbBreaker:   admOpt.FallbackBreaker.build(),
 		brownoutOff: admOpt.BrownoutThreshold < 0,
-		depth:       reg.Gauge(obs.MServerQueueDepth),
-		waveSize:    reg.Histogram(obs.MServerWaveSize),
-		waves:       reg.Counter(obs.MServerWaves),
-		requests:    reg.Counter(obs.MServerRequests),
-		rejected:    reg.Counter(obs.MServerRejected),
-		cancelled:   reg.Counter(obs.MServerCancelled),
-		timedout:    reg.Counter(obs.MServerTimedOut),
-		panics:      reg.Counter(obs.MServerPanics),
 	}
 	// New(MaxBytes ≤ 0) is nil: the cache stays off as a nil receiver.
 	// Leader-local errors — the leader's own context or queue deadline
@@ -312,6 +296,16 @@ func NewServer(ix *Index, opt *ServerOptions) (*Server, error) {
 				s.logger.Info("fallback breaker transition", "to", to.String())
 			}
 		})
+	}
+	if ob != nil {
+		reg := ob.sink.Metrics
+		reg.GaugeFunc(obs.MServerQueueDepth, "", "", func() float64 { return float64(s.q.Len()) })
+		reg.CounterFunc(obs.MServerRequests, "", "", s.nRequests.Load)
+		reg.CounterFunc(obs.MServerRejected, "", "", s.nRejected.Load)
+		reg.CounterFunc(obs.MServerCancelled, "", "", s.nCancelled.Load)
+		reg.CounterFunc(obs.MServerTimedOut, "", "", s.nTimedOut.Load)
+		reg.CounterFunc(obs.MServerWaves, "", "", s.nWaves.Load)
+		reg.CounterFunc(obs.MServerPanics, "", "", s.nPanics.Load)
 	}
 	if tel != nil {
 		tel.attach(s)
@@ -414,7 +408,6 @@ func (s *Server) ssspAdmit(ctx context.Context, src int) ([]float64, uint64, boo
 	}
 	defer s.wg.Done()
 	s.nRequests.Add(1)
-	s.requests.Inc()
 	s.brown.Note(false)
 	if w != nil {
 		if err := s.await(ctx, w); err != nil {
@@ -459,7 +452,6 @@ func (s *Server) admit(cls admission.Class, src int, enq time.Time) (*waiter, in
 	res, victim := s.q.Push(w, cls, s.maxInFlight-s.running)
 	if res == admission.Admitted || res == admission.AdmittedEvicted {
 		s.wg.Add(1)
-		s.depth.Set(float64(s.q.Len()))
 	}
 	s.mu.Unlock()
 	if victim != nil {
@@ -508,13 +500,11 @@ func (s *Server) release() {
 // grantLocked fills free slots from the queue in serve order, skipping (and
 // counting) waiters whose context ended while queued. Caller holds mu.
 func (s *Server) grantLocked() {
-	popped := false
 	for s.running < s.effectiveLimit() {
 		w, _, ok := s.q.TryPop()
 		if !ok {
 			break
 		}
-		popped = true
 		if w.state.CompareAndSwap(waiting, granted) {
 			s.running++
 			w.slots = s.running
@@ -522,9 +512,6 @@ func (s *Server) grantLocked() {
 			continue
 		}
 		s.countAbandoned(w)
-	}
-	if popped {
-		s.depth.Set(float64(s.q.Len()))
 	}
 }
 
@@ -535,14 +522,12 @@ func (s *Server) countAbandoned(w *waiter) {
 	out := live.OutcomeCancelled
 	if errors.Is(w.cause, ErrQueueTimeout) {
 		s.nTimedOut.Add(1)
-		s.timedout.Inc()
 		out = live.OutcomeTimeout
 	} else {
 		s.nCancelled.Add(1)
-		s.cancelled.Inc()
 	}
 	if s.tel != nil {
-		s.tel.recordQuery(out, w.src, 0, time.Since(w.enq).Nanoseconds(), 0, 0, s.mgr.Epoch(), false)
+		s.tel.recordQuery(out, w.src, 0, time.Since(w.enq).Nanoseconds(), 0, s.mgr.Epoch(), false, nil)
 	}
 }
 
@@ -555,8 +540,8 @@ func (s *Server) countAbandoned(w *waiter) {
 //
 // With Telemetry attached, the request records its outcome, queue wait
 // (admission → slot) and compute time, a size-1 wave observation with the
-// pruning the kernel achieved, and flight-recorder events; without it this
-// function reads only the limiter's clock.
+// pruning the kernel achieved, and one flight-recorder event; without it
+// this function reads only the limiter's clock.
 func (s *Server) serve(ctx context.Context, src int, start, enq time.Time, slots int) ([]float64, uint64, bool, error) {
 	e := s.mgr.pin()
 	defer s.mgr.release(e)
@@ -588,7 +573,6 @@ func (s *Server) serve(ctx context.Context, src int, start, enq time.Time, slots
 		case errors.As(err, &pe):
 			out = live.OutcomePanic
 			s.nPanics.Add(1)
-			s.panics.Inc()
 			if s.logger != nil {
 				s.logger.Error("request panicked", "request", id, "src", src, "err", err)
 			}
@@ -598,25 +582,20 @@ func (s *Server) serve(ctx context.Context, src int, start, enq time.Time, slots
 			err = context.Cause(ctx)
 			if errors.Is(err, ErrQueueTimeout) {
 				s.nTimedOut.Add(1)
-				s.timedout.Inc()
 				out = live.OutcomeTimeout
 			} else {
 				s.nCancelled.Add(1)
-				s.cancelled.Inc()
 				out = live.OutcomeCancelled
 			}
 		}
 		if s.tel != nil {
-			s.tel.recordQuery(out, src, id, queueNanos, computeNanos, 1, epoch, degraded)
+			s.tel.recordQuery(out, src, id, queueNanos, computeNanos, epoch, degraded, nil)
 		}
 		return nil, 0, false, err
 	}
 	s.nWaves.Add(1)
-	s.waves.Inc()
-	s.waveSize.Observe(1)
 	if s.tel != nil {
-		s.tel.recordQuery(live.OutcomeOK, src, id, queueNanos, computeNanos, 1, epoch, degraded)
-		s.tel.recordWave(id, 1, computeNanos, epoch, degraded, st.SkippedRounds(), st.SkippedWork())
+		s.tel.recordQuery(live.OutcomeOK, src, id, queueNanos, computeNanos, epoch, degraded, st)
 	}
 	if s.logger != nil {
 		s.logger.Debug("request served", "request", id, "src", src, "epoch", epoch, "compute", time.Duration(computeNanos))
@@ -669,7 +648,6 @@ func (s *Server) shed(ctx context.Context, src int, cls admission.Class) ([]floa
 
 func (s *Server) countShed(src int, cls admission.Class) {
 	s.nRejected.Add(1)
-	s.rejected.Inc()
 	if s.tel != nil {
 		s.tel.recordShed(src, s.mgr.Epoch(), cls)
 	}

@@ -223,7 +223,7 @@ func TestServerCacheEpochSwapStress(t *testing.T) {
 		gB.AddEdge(from, to, wt*1024)
 		return true
 	})
-	ix, err := Build(gA, &Options{Coordinates: grid.Coord})
+	ix, err := Build(gA, &Options{Decomposition: GridDecomposition(grid.Coord)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,17 @@ package sepsp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sepsp/internal/core"
 	"sepsp/internal/faultinject"
+	"sepsp/internal/obs"
 )
 
 func TestServerCloseIdempotent(t *testing.T) {
@@ -402,5 +407,297 @@ func TestServerOnDegradedIndex(t *testing.T) {
 	}
 	if h := srv.Healthz(); !h.Degraded {
 		t.Fatal("Healthz().Degraded = false for a degraded index")
+	}
+}
+
+// TestServerObserverCountedOnce drives one server through every counted
+// outcome — a recovered panic, a cancellation while queued, a priority
+// eviction, a shed arrival and queue timeouts — and checks each Observer
+// server.* series reads exactly its Healthz field: the Observer exposes
+// the server's own counts instead of keeping a second set.
+func TestServerObserverCountedOnce(t *testing.T) {
+	ix, _ := serverIndex(t)
+	ob := NewObserver()
+	gate := newGate()
+	var panicNext atomic.Bool
+	inj := injectFunc(func(site string) {
+		if site == faultinject.SiteServerWave && panicNext.CompareAndSwap(true, false) {
+			panic("injected serving panic")
+		}
+		gate.Fire(site)
+	})
+	srv, err := NewServer(ix, &ServerOptions{
+		MaxInFlight:  3,
+		QueueTimeout: time.Second,
+		Admission:    &AdmissionOptions{Initial: 1, Min: 1, BrownoutThreshold: -1},
+		Inject:       inj,
+		Observer:     ob,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gate.open()
+
+	panicNext.Store(true)
+	var pe *PanicError
+	if _, err := srv.SSSP(context.Background(), 0); !errors.As(err, &pe) {
+		t.Fatalf("injected panic: err = %v, want *PanicError", err)
+	}
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 9)
+		held <- err
+	}()
+	waitFor(t, "the held request", func() bool { return gate.entered.Load() == 1 })
+
+	// Cancelled while queued: the abandoned entry keeps its queue place
+	// until a release skips and counts it.
+	cctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(cctx, 1)
+		cancelled <- err
+	}()
+	waitFor(t, "the request to queue", func() bool { return srv.q.Len() == 1 })
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled while queued: err = %v, want context.Canceled", err)
+	}
+
+	// The queue is full once a background request joins; an interactive
+	// arrival evicts it, and the next interactive arrival is shed.
+	evicted := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(WithPriority(context.Background(), PriorityBackground), 2)
+		evicted <- err
+	}()
+	waitFor(t, "the background request to queue", func() bool { return srv.q.Len() == 2 })
+	timedOut := make(chan error, 1)
+	go func() {
+		_, err := srv.SSSP(context.Background(), 3)
+		timedOut <- err
+	}()
+	if err := <-evicted; !errors.Is(err, ErrServerOverloaded) {
+		t.Fatalf("evicted request: err = %v, want ErrServerOverloaded", err)
+	}
+	if _, err := srv.SSSP(context.Background(), 4); !errors.Is(err, ErrServerOverloaded) {
+		t.Fatalf("arrival at the ceiling: err = %v, want ErrServerOverloaded", err)
+	}
+	if err := <-timedOut; !errors.Is(err, ErrQueueTimeout) {
+		t.Fatalf("queued past the deadline: err = %v, want ErrQueueTimeout", err)
+	}
+	gate.open()
+	<-held // served or timed out, depending on how long the steps above took
+	for src := 5; src < 8; src++ {
+		if _, err := srv.SSSP(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := srv.Healthz()
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{obs.MServerRequests, h.Requests},
+		{obs.MServerRejected, h.Rejected},
+		{obs.MServerCancelled, h.Cancelled},
+		{obs.MServerTimedOut, h.TimedOut},
+		{obs.MServerWaves, h.Waves},
+		{obs.MServerPanics, h.Panics},
+	} {
+		if c.want == 0 {
+			t.Errorf("Healthz field behind %s is 0: the run did not exercise it", c.name)
+		}
+		if got := ob.CounterValue(c.name); got != c.want {
+			t.Errorf("Observer %s = %d, Healthz = %d", c.name, got, c.want)
+		}
+	}
+	if h.Evicted == 0 {
+		t.Error("Healthz().Evicted = 0: the run did not evict")
+	}
+	if got := ob.GaugeValue(obs.MServerQueueDepth); got != float64(h.QueueDepth) {
+		t.Errorf("Observer %s = %g, Healthz = %d", obs.MServerQueueDepth, got, h.QueueDepth)
+	}
+}
+
+// TestServerRejectsSharedObserver: an Observer exposes one server's
+// counts, so a second server on the same Observer is refused instead of
+// silently merging two servers into one set of series.
+func TestServerRejectsSharedObserver(t *testing.T) {
+	ix, _ := serverIndex(t)
+	ob := NewObserver()
+	srv, err := NewServer(ix, &ServerOptions{Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := NewServer(ix, &ServerOptions{Observer: ob}); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("second server on one Observer: err = %v, want ErrBadOptions", err)
+	}
+	// A refused Observer is still usable by the server it belongs to.
+	if _, err := srv.SSSP(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := ob.CounterValue(obs.MServerWaves); got != 1 {
+		t.Fatalf("waves = %d, want 1", got)
+	}
+}
+
+// scrapeCounter reads one unlabeled sample from the Prometheus exposition.
+func scrapeCounter(t *testing.T, tel *Telemetry, name string) int64 {
+	t.Helper()
+	v, err := scrape(tel, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func scrape(tel *Telemetry, name string) (int64, error) {
+	var b strings.Builder
+	if err := tel.WriteMetrics(&b); err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return strconv.ParseInt(v, 10, 64)
+		}
+	}
+	return 0, fmt.Errorf("exposition has no %s sample", name)
+}
+
+// TestTelemetryCacheCountedOnceAcrossServers: two caching servers share
+// one Telemetry, and each sepsp_cache_*_total family reads the sum of the
+// two caches' own counts.
+func TestTelemetryCacheCountedOnceAcrossServers(t *testing.T) {
+	tel := NewTelemetry(nil)
+	var srvs []*Server
+	for i := 0; i < 2; i++ {
+		ix, _ := serverIndex(t)
+		// Room for a handful of vectors only, so distinct sources evict.
+		srv, err := NewServer(ix, &ServerOptions{CacheBytes: 4096, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srvs = append(srvs, srv)
+	}
+	// Per server: one hot source read repeatedly (one miss, then hits),
+	// then a run of distinct sources (misses that evict), sized so every
+	// family has a different total.
+	for i, srv := range srvs {
+		var srcs []int
+		for r := 0; r < 5-2*i; r++ {
+			srcs = append(srcs, 0)
+		}
+		for src := 1; src <= 8+4*i; src++ {
+			srcs = append(srcs, src)
+		}
+		for _, src := range srcs {
+			if _, err := srv.SSSP(context.Background(), src); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var hz [2]ServerHealth
+	var bytesTotal int64
+	for i, srv := range srvs {
+		hz[i] = srv.Healthz()
+		bytesTotal += srv.cache.Stats().BytesTotal
+	}
+	if hz[0].CacheHits+hz[1].CacheHits == 0 || hz[0].CacheEvictions+hz[1].CacheEvictions == 0 {
+		t.Fatalf("no hits or no evictions: %+v / %+v", hz[0], hz[1])
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"sepsp_cache_hits_total", hz[0].CacheHits + hz[1].CacheHits},
+		{"sepsp_cache_misses_total", hz[0].CacheMisses + hz[1].CacheMisses},
+		{"sepsp_cache_evictions_total", hz[0].CacheEvictions + hz[1].CacheEvictions},
+		{"sepsp_cache_singleflight_shared_total", hz[0].CacheShared + hz[1].CacheShared},
+		{"sepsp_cache_bytes_total", bytesTotal},
+		{"sepsp_server_waves_total", hz[0].Waves + hz[1].Waves},
+	} {
+		if got := scrapeCounter(t, tel, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d (sum over both servers)", c.name, got, c.want)
+		}
+	}
+}
+
+// TestTelemetryFallbackMonotoneAcrossSwap: the fallback families keep
+// counting across a Reweight — the reweighted index continues its
+// predecessor's counts — so a scrape never reads a smaller value than the
+// one before it.
+func TestTelemetryFallbackMonotoneAcrossSwap(t *testing.T) {
+	g, grid := gridGraph(t, 8, 8, 1)
+	ix, err := Build(g, &Options{
+		Decomposition: GridDecomposition(grid.Coord),
+		Fallback:      FallbackBaseline,
+		Inject:        queryPhaseInjector(7, 1000), // every primary query panics into the fallback
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := NewTelemetry(nil)
+	srv, err := NewServer(ix, &ServerOptions{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for src := 0; src < 4; src++ {
+		if _, err := srv.SSSP(context.Background(), src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const queries, engaged = "sepsp_fallback_queries_total", "sepsp_fallback_engaged_total"
+	before, beforeEngaged := scrapeCounter(t, tel, queries), scrapeCounter(t, tel, engaged)
+	if before == 0 || beforeEngaged == 0 {
+		t.Fatalf("no fallback traffic before the swap: queries=%d engaged=%d", before, beforeEngaged)
+	}
+
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		last := before
+		for {
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+			}
+			v, err := scrape(tel, queries)
+			if err == nil && v < last {
+				err = fmt.Errorf("%s fell from %d to %d", queries, last, v)
+			}
+			if err != nil {
+				scraped <- err
+				return
+			}
+			last = v
+		}
+	}()
+	g2, _ := gridGraph(t, 8, 8, 2)
+	if _, err := srv.Reweight(context.Background(), g2); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	if got := scrapeCounter(t, tel, queries); got < before {
+		t.Fatalf("%s = %d after the swap, %d before", queries, got, before)
+	}
+	if got := scrapeCounter(t, tel, engaged); got < beforeEngaged {
+		t.Fatalf("%s = %d after the swap, %d before", engaged, got, beforeEngaged)
+	}
+	if old, cur := ix.fb, srv.Manager().Index().fb; cur == old || cur.queries != old.queries {
+		t.Fatal("the reweighted index does not continue its predecessor's fallback counts")
 	}
 }

@@ -6,18 +6,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sync"
 	"time"
 
 	"sepsp/internal/admission"
 	"sepsp/internal/obs/live"
+	"sepsp/internal/pram"
 )
 
 // TelemetryOptions configures NewTelemetry. The zero value (or nil) uses
 // the defaults noted on each field.
 type TelemetryOptions struct {
-	// FlightRecorderSize is how many recent query/wave/failure events the
-	// flight recorder retains for /flightrecorder postmortem dumps
+	// FlightRecorderSize is how many recent request, swap and cache events
+	// the flight recorder retains for /flightrecorder postmortem dumps
 	// (default 512, rounded up to a power of two).
 	FlightRecorderSize int
 }
@@ -37,7 +39,9 @@ type TelemetryOptions struct {
 // finishes — Telemetry is safe to scrape continuously while serving. All
 // methods are safe for concurrent use. A Telemetry may be shared by
 // several Servers; per-server gauges are distinguished by a server="N"
-// label in attachment order, and /healthz reports the first server.
+// label in attachment order, counts the servers own (served waves, cache
+// and fallback counts) are summed over them, and /healthz reports the
+// first server.
 type Telemetry struct {
 	reg *live.Registry
 	rec *live.Recorder
@@ -47,7 +51,6 @@ type Telemetry struct {
 	// outcome — a degraded query usually still succeeds).
 	queries   [7]*live.Counter
 	degradedQ *live.Counter
-	waves     *live.Counter
 	backoffs  *live.Counter
 
 	// Query-path pruning families: the schedule phases and edge
@@ -56,8 +59,6 @@ type Telemetry struct {
 	// cost, so the pruning rate is auditable from the exposition alone).
 	qSkipPhases *live.Counter
 	qSkipWork   *live.Counter
-	fbEngaged   *live.Counter
-	fbQueries   *live.Counter
 
 	// Admission-control families, indexed by admission.Class / breaker
 	// state. The breaker transition counters are pre-registered for both
@@ -70,14 +71,6 @@ type Telemetry struct {
 	// Index-lifecycle families, driven by Manager reweighting rebuilds.
 	swapsTotal   *live.Counter
 	rebuildFails *live.Counter
-
-	// Result-cache families, driven by the server's distance cache (see
-	// ServerOptions.CacheBytes); flat at zero when the cache is disabled.
-	cacheHits   *live.Counter
-	cacheMisses *live.Counter
-	cacheEvicts *live.Counter
-	cacheBytes  *live.Counter
-	cacheShared *live.Counter
 
 	queueWait   *live.Histogram // seconds queued: admission → serving slot
 	computeTime *live.Histogram // seconds the request's own query ran
@@ -125,32 +118,44 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	}
 	t.degradedQ = reg.Counter("sepsp_server_degraded_queries_total",
 		"Queries served while the index was degraded to the baseline fallback engine.", "")
-	t.waves = reg.Counter("sepsp_server_waves_total",
-		"Served requests; each is one wave of size 1.", "")
+	// Counts other components own are read at scrape time, summed over
+	// the attached servers: served waves (Healthz), the result cache's
+	// counters (flat at zero when the cache is disabled) and the fallback
+	// engines' counts.
+	reg.CounterFunc("sepsp_server_waves_total",
+		"Served requests; each is one wave of size 1.", "",
+		t.sumServers(func(s *Server) int64 { return s.nWaves.Load() }))
 	t.backoffs = reg.Counter("sepsp_retry_backoffs_total",
 		"Overload retries slept by sepsp.Retry.", "")
 	t.qSkipPhases = reg.Counter("sepsp_query_phases_skipped_total",
 		"Schedule phases skipped by the query convergence early exit, summed over served requests.", "")
 	t.qSkipWork = reg.Counter("sepsp_query_relaxations_avoided_total",
 		"Edge relaxations avoided by the query convergence early exit across served requests.", "")
-	t.fbEngaged = reg.Counter("sepsp_fallback_engaged_total",
-		"Degradation causes observed by the baseline fallback engine.", "")
-	t.fbQueries = reg.Counter("sepsp_fallback_queries_total",
-		"Queries answered by the baseline fallback engine.", "")
+	reg.CounterFunc("sepsp_fallback_engaged_total",
+		"Degradation causes observed by the baseline fallback engine.", "",
+		t.sumFallback(func(fb *fallbackEngine) *live.Counter { return fb.engaged }))
+	reg.CounterFunc("sepsp_fallback_queries_total",
+		"Queries answered by the baseline fallback engine.", "",
+		t.sumFallback(func(fb *fallbackEngine) *live.Counter { return fb.queries }))
 	t.swapsTotal = reg.Counter("sepsp_index_swaps_total",
 		"Completed epoch hot-swaps (successful reweighting rebuilds).", "")
 	t.rebuildFails = reg.Counter("sepsp_index_rebuild_failures_total",
 		"Reweighting rebuilds that failed or panicked (old epoch kept serving).", "")
-	t.cacheHits = reg.Counter("sepsp_cache_hits_total",
-		"Queries answered from a cached distance vector (no admission, no query).", "")
-	t.cacheMisses = reg.Counter("sepsp_cache_misses_total",
-		"Cache misses that became single-flight leaders and computed a fresh vector.", "")
-	t.cacheEvicts = reg.Counter("sepsp_cache_evictions_total",
-		"Cached distance vectors evicted for memory-budget room.", "")
-	t.cacheBytes = reg.Counter("sepsp_cache_bytes_total",
-		"Cumulative bytes of distance vectors admitted to the cache.", "")
-	t.cacheShared = reg.Counter("sepsp_cache_singleflight_shared_total",
-		"Concurrent requests answered by sharing another request's in-flight computation.", "")
+	reg.CounterFunc("sepsp_cache_hits_total",
+		"Queries answered from a cached distance vector (no admission, no query).", "",
+		t.sumServers(func(s *Server) int64 { return s.cache.Stats().Hits }))
+	reg.CounterFunc("sepsp_cache_misses_total",
+		"Cache misses that became single-flight leaders and computed a fresh vector.", "",
+		t.sumServers(func(s *Server) int64 { return s.cache.Stats().Misses }))
+	reg.CounterFunc("sepsp_cache_evictions_total",
+		"Cached distance vectors evicted for memory-budget room.", "",
+		t.sumServers(func(s *Server) int64 { return s.cache.Stats().Evictions }))
+	reg.CounterFunc("sepsp_cache_bytes_total",
+		"Cumulative bytes of distance vectors admitted to the cache.", "",
+		t.sumServers(func(s *Server) int64 { return s.cache.Stats().BytesTotal }))
+	reg.CounterFunc("sepsp_cache_singleflight_shared_total",
+		"Concurrent requests answered by sharing another request's in-flight computation.", "",
+		t.sumServers(func(s *Server) int64 { return s.cache.Stats().Shared }))
 	t.rebuildTime = reg.Histogram("sepsp_index_rebuild_duration_seconds",
 		"Seconds one reweighting rebuild attempt took, successful or not.", "")
 	t.queueWait = reg.Histogram("sepsp_server_queue_wait_seconds",
@@ -162,9 +167,49 @@ func NewTelemetry(opt *TelemetryOptions) *Telemetry {
 	return t
 }
 
+// attached returns the servers attached so far, in attachment order.
+func (t *Telemetry) attached() []*Server {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.servers
+}
+
+// sumServers returns a CounterFunc body summing count over the attached
+// servers.
+func (t *Telemetry) sumServers(count func(*Server) int64) func() int64 {
+	return func() int64 {
+		var total int64
+		for _, s := range t.attached() {
+			total += count(s)
+		}
+		return total
+	}
+}
+
+// sumFallback returns a CounterFunc body summing one fallback count over
+// the attached servers' current indexes, each counter once: servers may
+// share an index, and a reweighted index continues its predecessor's
+// counters, which keeps the sum monotone across swaps.
+func (t *Telemetry) sumFallback(pick func(*fallbackEngine) *live.Counter) func() int64 {
+	return func() int64 {
+		var seen []*live.Counter
+		var total int64
+		for _, s := range t.attached() {
+			fb := s.mgr.Index().fb
+			if fb == nil || slices.Contains(seen, pick(fb)) {
+				continue
+			}
+			c := pick(fb)
+			seen = append(seen, c)
+			total += c.Value()
+		}
+		return total
+	}
+}
+
 // attach wires a server's scrape-time gauges (and, once per index, the
-// executor's per-worker busy gauges and the fallback engine's live
-// counters) into the registry. Called by NewServer.
+// executor's per-worker busy gauges) into the registry. Called by
+// NewServer.
 func (t *Telemetry) attach(s *Server) {
 	ix := s.mgr.Index()
 	t.mu.Lock()
@@ -177,9 +222,6 @@ func (t *Telemetry) attach(s *Server) {
 	}
 	t.mu.Unlock()
 	s.mgr.setTelemetry(t)
-	// Wire the distance cache's live counters (nil-safe: a disabled cache
-	// leaves every sepsp_cache_* family flat at zero).
-	s.cache.SetLiveCounters(t.cacheHits, t.cacheMisses, t.cacheEvicts, t.cacheBytes, t.cacheShared)
 
 	slbl := fmt.Sprintf(`server="%d"`, sid)
 	t.reg.GaugeFunc("sepsp_server_queue_depth",
@@ -252,9 +294,6 @@ func (t *Telemetry) attach(s *Server) {
 	t.reg.GaugeFunc("sepsp_exec_load_imbalance",
 		"Max/mean busy iterations across the executor's workers (1 = balanced).", ilbl,
 		func() float64 { _, _, imb := ex.LoadStats(); return imb })
-	if ix.fb != nil {
-		ix.fb.setLiveCounters(t.fbEngaged, t.fbQueries)
-	}
 }
 
 // recordRebuild records one finished reweighting rebuild attempt: the
@@ -281,20 +320,29 @@ func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped b
 }
 
 // recordQuery records one decided request: outcome counter, phase
-// histograms, and a flight-recorder event (KindQuery on success,
-// KindFailure otherwise) tagged with the epoch that served it.
-func (t *Telemetry) recordQuery(out live.Outcome, src int, wave int64, queueNanos, computeNanos int64, batch int, epoch uint64, degraded bool) {
+// histograms, and one flight-recorder event (KindQuery on success,
+// KindFailure otherwise) tagged with the epoch that served it. wave is the
+// served request's id, 0 for a request that never ran. A success also
+// observes its size-1 wave and the schedule cost the convergence pruning
+// avoided, read from st (nil, or 0/0, for requests served degraded — the
+// fallback engine has no schedule to prune).
+func (t *Telemetry) recordQuery(out live.Outcome, src int, wave, queueNanos, computeNanos int64, epoch uint64, degraded bool, st *pram.Stats) {
 	t.queries[out].Inc()
 	if degraded {
 		t.degradedQ.Inc()
 	}
 	t.queueWait.Observe(float64(queueNanos) / 1e9)
+	kind := live.KindFailure
 	if out == live.OutcomeOK {
+		kind = live.KindQuery
 		t.computeTime.Observe(float64(computeNanos) / 1e9)
+		t.waveSize.Observe(1)
+		t.qSkipPhases.Add(st.SkippedRounds())
+		t.qSkipWork.Add(st.SkippedWork())
 	}
-	kind := live.KindQuery
-	if out != live.OutcomeOK {
-		kind = live.KindFailure
+	var batch int32
+	if wave != 0 {
+		batch = 1 // each served request is its own wave
 	}
 	t.rec.Record(live.Event{
 		Time:         live.Now(),
@@ -302,30 +350,8 @@ func (t *Telemetry) recordQuery(out live.Outcome, src int, wave int64, queueNano
 		Outcome:      out,
 		Source:       int32(src),
 		Wave:         wave,
-		Batch:        int32(batch),
+		Batch:        batch,
 		QueueNanos:   queueNanos,
-		ComputeNanos: computeNanos,
-		Epoch:        epoch,
-		Degraded:     degraded,
-	})
-}
-
-// recordWave records one served request as a wave of size batch (1),
-// including how much of the static schedule cost the convergence pruning
-// avoided (0/0 for requests
-// served degraded — the fallback engine has no schedule to prune).
-func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch uint64, degraded bool, skippedPhases, avoidedWork int64) {
-	t.waves.Inc()
-	t.waveSize.Observe(float64(batch))
-	t.qSkipPhases.Add(skippedPhases)
-	t.qSkipWork.Add(avoidedWork)
-	t.rec.Record(live.Event{
-		Time:         live.Now(),
-		Kind:         live.KindWave,
-		Outcome:      live.OutcomeOK,
-		Source:       -1,
-		Wave:         wave,
-		Batch:        int32(batch),
 		ComputeNanos: computeNanos,
 		Epoch:        epoch,
 		Degraded:     degraded,
@@ -335,7 +361,7 @@ func (t *Telemetry) recordWave(wave int64, batch int, computeNanos int64, epoch 
 // recordCacheHit records one query answered from a cached vector (or by
 // sharing another request's in-flight computation): it still counts as a
 // decided-OK query, plus a KindCacheHit flight-recorder event. The
-// sepsp_cache_* counter families are advanced by the cache itself.
+// sepsp_cache_* counter families read the cache's own counts.
 func (t *Telemetry) recordCacheHit(src int, epoch uint64) {
 	t.queries[live.OutcomeOK].Inc()
 	t.rec.Record(live.Event{
@@ -446,7 +472,7 @@ func (t *Telemetry) WriteFlightRecorder(w io.Writer) error {
 //	/metrics         Prometheus text exposition (counters, histograms,
 //	                 bucket-estimated p50/p90/p99/p999 quantile gauges)
 //	/healthz         ServerHealth of the first attached server as JSON
-//	/flightrecorder  recent query/wave/failure events as JSON
+//	/flightrecorder  recent query/failure/swap/cache events as JSON
 //	/debug/pprof/    the standard runtime profiles
 //
 // Mount it on its own listener (cmd/sepsp serve -listen) or under a route

@@ -85,7 +85,8 @@ func TestTelemetryCountsQueries(t *testing.T) {
 }
 
 // TestTelemetryFlightRecorderCapturesFailure injects wave panics and checks
-// the flight recorder dump contains both failure and wave events.
+// the flight recorder dump holds exactly one event per request: failure
+// events for the panics, query events for the rest.
 func TestTelemetryFlightRecorderCapturesFailure(t *testing.T) {
 	inj := faultinject.NewSeeded(faultinject.Config{
 		Seed: 3,
@@ -126,7 +127,7 @@ func TestTelemetryFlightRecorderCapturesFailure(t *testing.T) {
 	if dump.Capacity != 64 {
 		t.Fatalf("capacity = %d, want 64", dump.Capacity)
 	}
-	var failures, waves int
+	var failures, queries int
 	lastSeq := uint64(0)
 	for _, e := range dump.Events {
 		if e.Seq <= lastSeq {
@@ -139,12 +140,20 @@ func TestTelemetryFlightRecorderCapturesFailure(t *testing.T) {
 			if e.Outcome != "panic" {
 				t.Errorf("failure event outcome = %q, want panic", e.Outcome)
 			}
-		case "wave":
-			waves++
+		case "query":
+			queries++
+			if e.Wave == 0 {
+				t.Errorf("query event seq %d carries no request id", e.Seq)
+			}
+		default:
+			t.Errorf("unexpected %q event", e.Kind)
 		}
 	}
-	if failures == 0 || waves == 0 {
-		t.Fatalf("flight recorder: %d failures, %d waves; want ≥1 of each", failures, waves)
+	if failures == 0 || queries == 0 {
+		t.Fatalf("flight recorder: %d failures, %d queries; want ≥1 of each", failures, queries)
+	}
+	if failures+queries != 32 {
+		t.Fatalf("flight recorder: %d events for 32 requests, want one each", failures+queries)
 	}
 	if v := tel.reg.CounterValue("sepsp_server_queries_total"); v != 32 {
 		t.Fatalf("queries_total = %d, want 32", v)
