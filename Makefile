@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot perfbench-check staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline
+.PHONY: build test vet race chaos serve-drill reweight-drill overload-drill cache-drill api-check api-snapshot perfbench-check staticcheck govulncheck check bench bench-build bench-build-baseline bench-query bench-query-baseline bench-cache bench-cache-baseline bench-delta bench-delta-baseline
 
 build:
 	$(GO) build ./...
@@ -37,8 +37,10 @@ serve-drill:
 # reweight-drill runs the zero-downtime reweighting drill: the real serve
 # command under chaos load with a timer hot-swapping new weights, asserting
 # the epoch advances through >= 3 swaps with zero swap-attributable request
-# failures, plus the SIGHUP operational-reload path (see DESIGN.md "Index
-# lifecycle and epochs").
+# failures, plus the SIGHUP operational-reload path, and a one-edge edit
+# whose swap event and log line must report a dirty-node count below the
+# tree's node count (incremental repair; see DESIGN.md "Index lifecycle and
+# epochs").
 reweight-drill:
 	$(GO) test -race -run ServeReweight -count=1 -v ./cmd/sepsp
 
@@ -156,3 +158,19 @@ bench-cache:
 
 bench-cache-baseline:
 	$(GO) run ./cmd/benchtab -exp E-cache -json > BENCH_cache.json
+
+# bench-delta runs the reweight experiment (E-delta) and gates it against the
+# recorded baseline BENCH_delta.json: over a chain of versions changing 1,
+# 4, 16 and 64 directed edges of a 4096-vertex grid, the incremental repair
+# (core.Engine.Reweight, the body of Index.WithWeightsContext) must recompute
+# exactly the baseline's dirty nodes with exactly its counted work, stay
+# bit-identical to a from-scratch rebuild (every per-node matrix, the E+
+# list, the schedule arena, SSSP from 32 sources), and hold a >= 3x CPU
+# speedup over the rebuild at 16 edges (see DESIGN.md "Index lifecycle and
+# epochs"). bench-delta-baseline re-records the baseline after an
+# intentional change.
+bench-delta:
+	$(call bench_gate,BENCH_delta.json,E-delta)
+
+bench-delta-baseline:
+	$(GO) run ./cmd/benchtab -exp E-delta -json > BENCH_delta.json

@@ -22,6 +22,7 @@ import (
 	"sepsp/internal/core"
 	"sepsp/internal/exp"
 	"sepsp/internal/graph"
+	"sepsp/internal/graph/gen"
 	"sepsp/internal/matrix"
 	"sepsp/internal/oracle"
 	"sepsp/internal/pram"
@@ -201,7 +202,7 @@ func BenchmarkOracleQueryGrid4096(b *testing.B) {
 
 func BenchmarkIncrementalOneEdgeGrid4096(b *testing.B) {
 	wl := benchWorkload(b, 0.5, 4096)
-	inc, err := augment.NewIncremental(wl.G, wl.Tree, augment.Config{UseFloydWarshall: true})
+	st, err := augment.Build41(wl.G, wl.Tree, augment.Config{UseFloydWarshall: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -211,7 +212,39 @@ func BenchmarkIncrementalOneEdgeGrid4096(b *testing.B) {
 		e := &edges[i%len(edges)]
 		e.W += 0.001
 		newG := graphFromEdges(wl.G.N(), edges)
-		if err := inc.Update(newG, [][2]int{{e.From, e.To}}); err != nil {
+		if st, err = st.Repair(newG, augment.Dirty(wl.Tree, [][2]int{{e.From, e.To}}), augment.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIndexWithWeights16Edges is one Manager-style reweight through
+// the public API: 16 random directed edges rescaled per version, a chain
+// of versions on a 64×64 grid.
+func BenchmarkIndexWithWeights16Edges(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	grid := gen.NewGrid([]int{64, 64}, gen.UniformWeights(0.5, 2), rng)
+	edges := grid.G.EdgeList()
+	pub := func() *Graph {
+		g := NewGraph(grid.G.N())
+		for _, e := range edges {
+			g.AddEdge(e.From, e.To, e.W)
+		}
+		return g
+	}
+	ix, err := Build(pub(), &Options{Decomposition: GridDecomposition(grid.Coord)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, k := range rng.Perm(len(edges))[:16] {
+			edges[k].W *= 0.5 + 1.5*rng.Float64()
+		}
+		g := pub()
+		b.StartTimer()
+		if ix, err = ix.WithWeights(g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -212,3 +212,93 @@ func TestServeReweightSIGHUP(t *testing.T) {
 		t.Fatalf("summary missing the SIGHUP swap:\n%s", stdout.String())
 	}
 }
+
+// TestServeReweightSmallEdit checks that a small edit reweights
+// incrementally and that the operator can see it: one SIGHUP reloads a file
+// that changes a single edge weight, the swap's flight-recorder event and
+// its "epoch swapped" log line report how many tree nodes the rebuild
+// recomputed, and that count is positive and below the tree's node count.
+func TestServeReweightSmallEdit(t *testing.T) {
+	var stdout, stderr syncBuffer
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{
+			"-graph", "testdata/grid6.txt", "-coords", "testdata/grid6.coords",
+			"serve", "-clients", "2", "-requests", "100000",
+			"-reweight", "testdata/grid6-edit.txt",
+			"-listen", "127.0.0.1:0", "-linger", "60s", "-log-level", "info",
+		}, &stdout, &stderr)
+	}()
+
+	addrRe := regexp.MustCompile(`telemetry: listening on (http://\S+)`)
+	var base string
+	deadline := time.Now().Add(30 * time.Second)
+	for base == "" {
+		if m := addrRe.FindStringSubmatch(stderr.String()); m != nil {
+			base = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no discovery line within 30s:\n%s", stderr.String())
+		} else {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
+		t.Fatal(err)
+	}
+	swapRe := regexp.MustCompile(`msg="epoch swapped".* dirty_nodes=(\d+) tree_nodes=(\d+)`)
+	var m []string
+	for m == nil {
+		if m = swapRe.FindStringSubmatch(stderr.String()); m == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("no epoch-swapped log line after SIGHUP:\n%s", stderr.String())
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	dirty, _ := strconv.Atoi(m[1])
+	nodes, _ := strconv.Atoi(m[2])
+	if dirty <= 0 || dirty >= nodes {
+		t.Fatalf("one-edge edit recomputed %d of %d tree nodes, want 0 < dirty < nodes", dirty, nodes)
+	}
+
+	resp, err := http.Get(base + "/flightrecorder")
+	if err != nil {
+		t.Fatalf("/flightrecorder: %v", err)
+	}
+	var fr struct {
+		Events []struct {
+			Kind       string `json:"kind"`
+			Epoch      uint64 `json:"epoch"`
+			DirtyNodes int    `json:"dirty_nodes"`
+		} `json:"events"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&fr)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/flightrecorder decode: %v", err)
+	}
+	found := false
+	for _, e := range fr.Events {
+		if e.Kind == "swap" && e.Epoch == 2 {
+			found = true
+			if e.DirtyNodes != dirty {
+				t.Fatalf("swap event dirty_nodes=%d, log line says %d", e.DirtyNodes, dirty)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("flight recorder holds no swap event for epoch 2")
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("serve exited %d\nstderr:\n%s", code, stderr.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not shut down after SIGINT")
+	}
+}

@@ -68,15 +68,16 @@ func Alg43(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 				st.uIdx = indexOf(st.u)
 				k := len(st.u)
 				if st.leaf {
-					full, idx, err := leafClosure(g, nd, c, ws)
+					full, err := leafClosure(g, nd, c, ws)
 					if err != nil {
 						errs[id] = err
 						return
 					}
 					st.d = matrix.New(k, k)
-					for i, a := range st.u {
-						for j, b := range st.u {
-							st.d.Set(i, j, full.At(idx[a], idx[b]))
+					up := locate(st.u, nd.V)
+					for i, p := range up {
+						for j, q := range up {
+							st.d.Set(i, j, full.At(int(p), int(q)))
 						}
 					}
 					ws.Put(full)

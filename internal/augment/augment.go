@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"sepsp/internal/graph"
 	"sepsp/internal/matrix"
@@ -160,17 +161,16 @@ func indexOf(vs []int) map[int]int {
 }
 
 // leafClosure computes all-pairs distances within the leaf subgraph G(t)
-// (induced on V(t)) and returns the dense |V|×|V| closure along with the
-// local index map. Leaves are O(1)-sized, so Floyd-Warshall is used
-// regardless of mode; a negative diagonal reports a negative cycle confined
-// to the leaf. The returned matrix is ws-owned scratch: callers restrict it
-// to the entries they keep and Put it back.
-func leafClosure(g *graph.Digraph, nd *separator.Node, cfg Config, ws *matrix.Workspace) (*matrix.Dense, map[int]int, error) {
-	idx := indexOf(nd.V)
+// (induced on V(t)) and returns the dense |V|×|V| closure, rows and columns
+// in the sorted order of V(t). Leaves are O(1)-sized, so Floyd-Warshall is
+// used regardless of mode; a negative diagonal reports a negative cycle
+// confined to the leaf. The returned matrix is ws-owned scratch: callers
+// restrict it to the entries they keep and Put it back.
+func leafClosure(g *graph.Digraph, nd *separator.Node, cfg Config, ws *matrix.Workspace) (*matrix.Dense, error) {
 	d := ws.GetSquare(len(nd.V))
 	for i, v := range nd.V {
 		g.Out(v, func(to int, w float64) bool {
-			if j, ok := idx[to]; ok {
+			if j, ok := slices.BinarySearch(nd.V, to); ok {
 				d.SetMin(i, j, w)
 			}
 			return true
@@ -178,9 +178,9 @@ func leafClosure(g *graph.Digraph, nd *separator.Node, cfg Config, ws *matrix.Wo
 	}
 	if err := matrix.FloydWarshall(d, pram.Sequential, cfg.Stats); err != nil {
 		ws.Put(d)
-		return nil, nil, fmt.Errorf("%w (inside leaf node %d)", ErrNegativeCycle, nd.ID)
+		return nil, fmt.Errorf("%w (inside leaf node %d)", ErrNegativeCycle, nd.ID)
 	}
-	return d, idx, nil
+	return d, nil
 }
 
 // closure runs the configured all-pairs closure in place, drawing doubling

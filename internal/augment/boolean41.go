@@ -2,7 +2,6 @@ package augment
 
 import (
 	"fmt"
-	"sync"
 
 	"sepsp/internal/bitmat"
 	"sepsp/internal/graph"
@@ -21,49 +20,20 @@ func Reach41(g *graph.Digraph, t *separator.Tree, cfg Config) (*Result, error) {
 	if g.N() != t.N() {
 		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), t.N())
 	}
-	byLevel := nodesByLevel(t)
 	nn := len(t.Nodes)
 	// rb[id] holds node id's reachability matrix: over B(t) for leaves,
 	// over U(t) = S(t) ∪ B(t) for internal nodes (bIdx maps vertices to
 	// positions). Matrices stay alive until final collection.
 	rb := make([]*bitmat.Matrix, nn)
 	bIdx := make([]map[int]int, nn)
-	errs := make([]error, nn)
-	ex := cfg.ex()
-
-	for level := t.Height; level >= 0; level-- {
-		nodes := byLevel[level]
-		if len(nodes) == 0 {
-			continue
+	err := leavesUp(t, cfg, nil, func(c Config, nd *separator.Node) (int64, error) {
+		if nd.IsLeaf() {
+			return processLeafReach41(g, nd, rb, bIdx, c), nil
 		}
-		var mu sync.Mutex
-		var maxRounds int64
-		ex.For(len(nodes), func(i int) {
-			id := nodes[i]
-			nd := &t.Nodes[id]
-			var rounds int64
-			if nd.IsLeaf() {
-				rounds = processLeafReach41(g, nd, rb, bIdx, cfg)
-			} else {
-				var err error
-				rounds, err = processInternalReach41(nd, rb, bIdx, cfg)
-				if err != nil {
-					errs[id] = err
-					return
-				}
-			}
-			mu.Lock()
-			if rounds > maxRounds {
-				maxRounds = rounds
-			}
-			mu.Unlock()
-		})
-		for _, id := range nodes {
-			if errs[id] != nil {
-				return nil, errs[id]
-			}
-		}
-		cfg.Stats.AddRounds(maxRounds)
+		return processInternalReach41(nd, rb, bIdx, c)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Collect E_t = S(t)×S(t) ∪ B(t)×B(t) from every node's stored matrix.
 	out := newCollector()

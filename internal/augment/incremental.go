@@ -2,160 +2,62 @@ package augment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sepsp/internal/graph"
-	"sepsp/internal/matrix"
 	"sepsp/internal/separator"
 )
 
-// Incremental maintains the Algorithm 4.1 state (per-node distance
-// matrices) so that E+ can be repaired after edge-weight changes without a
-// full rebuild. This operationalizes the paper's comment (iv): the
-// decomposition tree survives weight changes, and — going one step further —
-// only the tree nodes whose subgraph contains a changed edge (a connected
-// ancestor set of the touched leaves, O(d_G) nodes per changed edge) need
-// their matrices recomputed.
-type Incremental struct {
-	g    *graph.Digraph
-	t    *separator.Tree
-	cfg  Config
-	db   []*matrix.Dense
-	hsm  []*matrix.Dense
-	bIdx []map[int]int
-}
+// Incremental repair operationalizes the paper's comment (iv): the
+// decomposition tree survives a change of edge weights, and — one step
+// further — only the tree nodes whose subgraph contains a changed edge (an
+// ancestor-closed set, O(d_G) nodes per changed edge) need their matrices
+// recomputed. Dirty finds that set; State.Repair runs the Algorithm 4.1
+// driver over it, sharing every clean node's matrices with the old state.
 
-// NewIncremental runs the full Algorithm 4.1 once, retaining all per-node
-// state.
-func NewIncremental(g *graph.Digraph, t *separator.Tree, cfg Config) (*Incremental, error) {
-	inc := &Incremental{
-		g:    g,
-		t:    t,
-		cfg:  cfg,
-		db:   make([]*matrix.Dense, len(t.Nodes)),
-		hsm:  make([]*matrix.Dense, len(t.Nodes)),
-		bIdx: make([]map[int]int, len(t.Nodes)),
+// Repair returns the State of g — a graph on s's tree whose edges differ
+// from s's graph only inside the dirty nodes' subgraphs (see Dirty) —
+// recomputing exactly the dirty nodes with the closure mode s was built
+// with. The receiver is not modified; on error it stays valid.
+func (s *State) Repair(g *graph.Digraph, dirty NodeSet, cfg Config) (*State, error) {
+	if g.N() != s.t.N() {
+		return nil, fmt.Errorf("augment: graph has %d vertices, tree %d", g.N(), s.t.N())
 	}
-	if err := inc.recompute(allNodes(t)); err != nil {
+	cfg.UseFloydWarshall = s.fw
+	ns := &State{t: s.t, fw: s.fw, m: slices.Clone(s.m)}
+	if err := ns.recompute(g, dirty, cfg); err != nil {
 		return nil, err
 	}
-	return inc, nil
+	return ns, nil
 }
 
-func allNodes(t *separator.Tree) map[int]bool {
-	m := make(map[int]bool, len(t.Nodes))
-	for i := range t.Nodes {
-		m[i] = true
+// Dirty returns the tree nodes whose subgraph G(t) contains one of the
+// given directed pairs, i.e. whose vertex set holds both endpoints: the
+// nodes whose matrices a change of those edges can alter. The set is
+// closed under ancestors (O(d_G) nodes per pair). The walk descends only
+// into children that still contain the pair.
+func Dirty(t *separator.Tree, pairs [][2]int) NodeSet {
+	d := newNodeSet(len(t.Nodes))
+	var mark func(id, u, v int)
+	mark = func(id, u, v int) {
+		nd := &t.Nodes[id]
+		if !containsSorted(nd.V, u) || !containsSorted(nd.V, v) {
+			return
+		}
+		d.add(id)
+		if nd.IsLeaf() {
+			return
+		}
+		mark(nd.Children[0], u, v)
+		mark(nd.Children[1], u, v)
 	}
-	return m
-}
-
-// Update replaces the graph with newG — which must have the same undirected
-// skeleton — and repairs the state. changedPairs lists the (from, to)
-// endpoint pairs whose weight changed (both directions of a street count as
-// two pairs); only tree nodes containing such a pair are recomputed.
-//
-// On error (e.g. a weight change created a negative cycle) the state is
-// left unusable and the Incremental must be rebuilt.
-func (inc *Incremental) Update(newG *graph.Digraph, changedPairs [][2]int) error {
-	if newG.N() != inc.g.N() {
-		return fmt.Errorf("augment: Update changed the vertex count")
+	for _, p := range pairs {
+		mark(0, p[0], p[1])
 	}
-	dirty := make(map[int]bool)
-	for _, p := range changedPairs {
-		inc.markDirty(0, p[0], p[1], dirty)
-	}
-	inc.g = newG
-	return inc.recompute(dirty)
-}
-
-// markDirty walks down from node id marking every node whose vertex set
-// contains both endpoints. Children are explored only while they still
-// contain the pair, so the walk visits exactly the dirty nodes (plus their
-// pruned frontier).
-func (inc *Incremental) markDirty(id, u, v int, dirty map[int]bool) {
-	nd := &inc.t.Nodes[id]
-	if !containsSorted(nd.V, u) || !containsSorted(nd.V, v) {
-		return
-	}
-	dirty[id] = true
-	if nd.IsLeaf() {
-		return
-	}
-	inc.markDirty(nd.Children[0], u, v, dirty)
-	inc.markDirty(nd.Children[1], u, v, dirty)
+	return d
 }
 
 func containsSorted(s []int, v int) bool {
-	i := sort.SearchInts(s, v)
-	return i < len(s) && s[i] == v
-}
-
-// recompute rebuilds the matrices of the given nodes, deepest level first
-// (clean nodes keep their existing matrices and feed their parents). The
-// per-call workspace recycles kernel temporaries across the dirty set; the
-// recomputed db/hsm matrices it hands out are retained by the Incremental
-// and never released back, so reuse cannot corrupt live state.
-func (inc *Incremental) recompute(dirty map[int]bool) error {
-	if len(dirty) == 0 {
-		return nil
-	}
-	ws := matrix.NewWorkspace()
-	byLevel := nodesByLevel(inc.t)
-	for level := inc.t.Height; level >= 0; level-- {
-		for _, id := range byLevel[level] {
-			if !dirty[id] {
-				continue
-			}
-			nd := &inc.t.Nodes[id]
-			var err error
-			if nd.IsLeaf() {
-				_, err = processLeaf41(inc.g, nd, inc.db, inc.bIdx, inc.cfg, ws)
-			} else {
-				_, err = processInternal41(nd, inc.db, inc.hsm, inc.bIdx, inc.cfg, ws)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// DirtyCount reports how many tree nodes an update touching the given pairs
-// would recompute — the quantity that makes incremental repair cheap
-// (O(d_G) nodes per changed edge, versus all nodes for a rebuild).
-func (inc *Incremental) DirtyCount(changedPairs [][2]int) int {
-	dirty := make(map[int]bool)
-	for _, p := range changedPairs {
-		inc.markDirty(0, p[0], p[1], dirty)
-	}
-	return len(dirty)
-}
-
-// NodeCount returns the total number of tree nodes (for comparison with
-// DirtyCount).
-func (inc *Incremental) NodeCount() int { return len(inc.t.Nodes) }
-
-// Result collects the current E+ from the retained matrices.
-func (inc *Incremental) Result() *Result {
-	out := newCollector()
-	for id := range inc.t.Nodes {
-		nd := &inc.t.Nodes[id]
-		if hs := inc.hsm[id]; hs != nil {
-			for i, u := range nd.S {
-				for j, v := range nd.S {
-					out.add(u, v, hs.At(i, j))
-				}
-			}
-		}
-		if d := inc.db[id]; d != nil {
-			for i, u := range nd.B {
-				for j, v := range nd.B {
-					out.add(u, v, d.At(i, j))
-				}
-			}
-		}
-	}
-	return out.result()
+	_, ok := slices.BinarySearch(s, v)
+	return ok
 }

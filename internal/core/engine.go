@@ -61,13 +61,18 @@ type Config struct {
 // never escapes a call is recycled through an internal pool, so the
 // steady-state allocation cost of a query is just its result slices.
 type Engine struct {
-	g        *graph.Digraph
-	tree     *separator.Tree
-	aug      *augment.Result
-	schedule *Schedule
-	ex       *pram.Executor
-	obs      *obs.Sink
-	inj      faultinject.Injector
+	g    *graph.Digraph
+	tree *separator.Tree
+	// E+ is held in one of two forms: an Alg41 engine retains the per-node
+	// matrices (state), from which a reweight recomputes only what changed;
+	// Alg43 engines and engines assembled from parts keep the list (aug).
+	state     *augment.State
+	aug       *augment.Result
+	shortcuts int // |E+|
+	schedule  *Schedule
+	ex        *pram.Executor
+	obs       *obs.Sink
+	inj       faultinject.Injector
 
 	wsPool sync.Pool // of *queryWS
 }
@@ -133,31 +138,35 @@ func NewEngine(g *graph.Digraph, tree *separator.Tree, cfg Config) (*Engine, err
 		ex = pram.Sequential
 	}
 	acfg := augment.Config{Ex: ex, Stats: cfg.PrepStats, UseFloydWarshall: cfg.UseFloydWarshall, Obs: cfg.Obs, Ctx: cfg.Ctx}
-	var (
-		res *augment.Result
-		err error
-	)
+	var eng *Engine
 	switch cfg.Algorithm {
 	case Alg41:
-		res, err = augment.Alg41(g, tree, acfg)
+		st, err := augment.Build41(g, tree, acfg)
+		if err != nil {
+			return nil, err
+		}
+		// The list is only needed to lay out the schedule; the engine keeps
+		// the matrices instead.
+		eng = NewEngineFromParts(g, tree, st.Result(), ex)
+		eng.state, eng.aug = st, nil
 	case Alg43:
-		res, err = augment.Alg43(g, tree, acfg)
+		res, err := augment.Alg43(g, tree, acfg)
+		if err != nil {
+			return nil, err
+		}
+		eng = NewEngineFromParts(g, tree, res, ex)
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %d", cfg.Algorithm)
 	}
-	if err != nil {
-		return nil, err
-	}
-	eng := NewEngineFromParts(g, tree, res, ex)
 	eng.obs = cfg.Obs
 	eng.inj = cfg.Inject
 	return eng, nil
 }
 
 // NewEngineFromParts assembles an engine from an already-computed
-// augmentation — the entry point for deserialized indexes and for
-// augment.Incremental users who repaired E+ in place. No recomputation or
-// negative-cycle check happens here; the parts are trusted.
+// augmentation — the entry point for deserialized indexes. No
+// recomputation or negative-cycle check happens here; the parts are
+// trusted.
 func NewEngineFromParts(g *graph.Digraph, tree *separator.Tree, res *augment.Result, ex *pram.Executor) *Engine {
 	if ex == nil {
 		ex = pram.Sequential
@@ -167,11 +176,12 @@ func NewEngineFromParts(g *graph.Digraph, tree *separator.Tree, res *augment.Res
 		l = 0
 	}
 	return &Engine{
-		g:        g,
-		tree:     tree,
-		aug:      res,
-		schedule: NewSchedule(tree, g.EdgeList(), res.Edges, l),
-		ex:       ex,
+		g:         g,
+		tree:      tree,
+		aug:       res,
+		shortcuts: len(res.Edges),
+		schedule:  NewSchedule(tree, g.EdgeList(), res.Edges, l),
+		ex:        ex,
 	}
 }
 
@@ -181,8 +191,22 @@ func (e *Engine) Graph() *graph.Digraph { return e.g }
 // Tree returns the decomposition tree.
 func (e *Engine) Tree() *separator.Tree { return e.tree }
 
-// Augmentation returns the computed E+.
-func (e *Engine) Augmentation() *augment.Result { return e.aug }
+// Augmentation returns the computed E+. An Alg41 engine keeps its
+// per-node matrices rather than the list and materialises a fresh list on
+// every call.
+func (e *Engine) Augmentation() *augment.Result {
+	if e.state != nil {
+		return e.state.Result()
+	}
+	return e.aug
+}
+
+// Shortcuts returns |E+|, the number of shortcut edges.
+func (e *Engine) Shortcuts() int { return e.shortcuts }
+
+// State returns the retained Algorithm 4.1 matrices (nil for an engine
+// built by Alg43 or assembled from parts).
+func (e *Engine) State() *augment.State { return e.state }
 
 // Schedule returns the query phase schedule.
 func (e *Engine) Schedule() *Schedule { return e.schedule }
@@ -296,7 +320,7 @@ func relaxBucketDense(dist []float64, b *soaBucket) bool {
 func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) bool {
 	changed := false
 	to, w := b.to, b.w
-	pr := prev[b.runBase : int(b.runBase)+len(b.heads)]
+	pr := prev[b.runBase : int(b.runBase)+len(b.rle)]
 	lo := 0
 	for r, hr := range b.rle {
 		hi := int(hr.hi)
@@ -344,7 +368,7 @@ func relaxBucketTracked(dist []float64, b *soaBucket, prev []float64) bool {
 // "Query performance".
 func relaxEAllBlocks(dist []float64, b *soaBucket, prev []float64, blockDirty []bool, blockOf []int32) bool {
 	changed := false
-	off, to, w, rle := b.off, b.to, b.w, b.rle
+	to, w, rle := b.to, b.w, b.rle
 	pr := prev[b.runBase : int(b.runBase)+len(rle)]
 	for blk := 0; blk < len(blockDirty)-1; blk++ {
 		if !blockDirty[blk] {
@@ -356,7 +380,10 @@ func relaxEAllBlocks(dist []float64, b *soaBucket, prev []float64, blockDirty []
 		if rEnd > len(rle) {
 			rEnd = len(rle)
 		}
-		lo := int(off[rStart])
+		lo := 0
+		if rStart > 0 {
+			lo = int(rle[rStart-1].hi)
+		}
 		for r := rStart; r < rEnd; r++ {
 			hi := int(rle[r].hi)
 			du := dist[rle[r].h]

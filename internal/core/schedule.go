@@ -8,6 +8,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"sepsp/internal/graph"
@@ -64,6 +65,12 @@ type Schedule struct {
 	eAllBlocks  int
 	eAllBlockOf []int32
 
+	// to and w are the arena's whole edge arrays, into which every bucket's
+	// to and w slices (see soaBucket.eBase). A reweighted schedule copies
+	// only w and shares everything else with the schedule it derives from.
+	to []int32
+	w  []float64
+
 	// view is the []graph.Edge form of buckets, id for id, in the arena's
 	// canonical order. Only the reference relaxer and the boolean reach
 	// engine read it, so it is built on first use (see edgeView).
@@ -82,20 +89,22 @@ const (
 func (s *Schedule) bucketID(class, L int) int { return 1 + class*(s.height+1) + L }
 
 // soaBucket is one phase bucket in structure-of-arrays form. Edges sharing a
-// head vertex form one run: run r has head heads[r] and its (to, w) pairs
-// occupy positions [off[r], off[r+1]). The hot loop loads dist[head] once
-// per run, skips whole +Inf runs, and streams to/w sequentially.
+// head vertex form one run: run r has head rle[r].h and its (to, w) pairs
+// occupy positions [rle[r-1].hi, rle[r].hi). The hot loop loads dist[head]
+// once per run, skips whole +Inf runs, and streams to/w sequentially.
 type soaBucket struct {
-	heads []int32 // distinct head (from) vertices, in first-appearance order
-	off   []int32 // len(heads)+1 run boundaries into to/w
-	to    []int32
-	w     []float64
+	to []int32
+	w  []float64
 
-	// rle fuses each run's header into one 8-byte record (head vertex and
-	// exclusive end offset; the start offset is the previous record's end,
-	// 0 for run 0). The hot kernels iterate this single sequential stream
-	// instead of loading heads[r] and off[r+1] from two arrays.
+	// rle holds one 8-byte header per run, in first-appearance order of
+	// the head vertices: the head and the run's exclusive end offset into
+	// to/w (the start offset is the previous record's end, 0 for run 0).
+	// The hot kernels iterate this single sequential stream.
 	rle []headRun
+
+	// eBase is the bucket's offset in the arena's edge arrays: its w is
+	// Schedule.w[eBase : eBase+len(to)].
+	eBase int32
 
 	// runBase is this bucket's first slot in the schedule-wide run
 	// numbering [0, Schedule.runs): run r of this bucket owns global slot
@@ -115,29 +124,27 @@ func (b *soaBucket) edges() int { return len(b.to) }
 
 // appendEdges appends the bucket's edges to out in arena order.
 func (b *soaBucket) appendEdges(out []graph.Edge) []graph.Edge {
-	for r := range b.heads {
-		f := int(b.heads[r])
-		for j := b.off[r]; j < b.off[r+1]; j++ {
-			out = append(out, graph.Edge{From: f, To: int(b.to[j]), W: b.w[j]})
+	lo := int32(0)
+	for _, hr := range b.rle {
+		for j := lo; j < hr.hi; j++ {
+			out = append(out, graph.Edge{From: int(hr.h), To: int(b.to[j]), W: b.w[j]})
 		}
+		lo = hr.hi
 	}
 	return out
 }
 
 // soaBuilder packs buckets into shared arena slices sized exactly: the
-// edge arrays to the total edge count, the run arrays to the total run
+// edge arrays to the total edge count, the run headers to the total run
 // count. runOf is an n-sized scratch mapping a vertex to its run index
 // within the bucket being built (-1 outside a build), so grouping is
 // O(bucket size) with no per-bucket n-sized work.
 type soaBuilder struct {
 	runOf []int32
-	heads []int32
-	off   []int32
 	rle   []headRun
 	to    []int32
 	w     []float64
-	hPos  int // cursor into heads/rle (off shares it, shifted by bucket count)
-	oPos  int
+	hPos  int // cursor into rle
 	ePos  int // cursor into to/w
 }
 
@@ -166,8 +173,6 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 	}
 	return &soaBuilder{
 		runOf: runOf,
-		heads: make([]int32, runs),
-		off:   make([]int32, runs+len(buckets)),
 		rle:   make([]headRun, runs),
 		to:    make([]int32, edges),
 		w:     make([]float64, edges),
@@ -177,54 +182,38 @@ func newSOABuilder(n int, buckets [][]graph.Edge) *soaBuilder {
 // build groups edges by head into the next arena region and returns their
 // bucket. Within a run, edges keep their relative input order.
 func (sb *soaBuilder) build(edges []graph.Edge) soaBucket {
-	heads := sb.heads[sb.hPos:sb.hPos]
-	off := sb.off[sb.oPos:sb.oPos]
-	// Pass 1: assign run ids in first-appearance order, count run sizes.
+	// Pass 1: assign run ids in first-appearance order and count run sizes
+	// into the run headers this bucket owns.
+	rle := sb.rle[sb.hPos:sb.hPos]
 	for _, e := range edges {
 		if sb.runOf[e.From] < 0 {
-			sb.runOf[e.From] = int32(len(heads))
-			heads = append(heads, int32(e.From))
-			off = append(off, 0)
+			sb.runOf[e.From] = int32(len(rle))
+			rle = append(rle, headRun{h: int32(e.From)})
 		}
-		off[sb.runOf[e.From]]++
+		rle[sb.runOf[e.From]].hi++
 	}
-	// Prefix-sum the counts into run start cursors.
-	base := int32(sb.ePos)
-	for r := range off {
-		c := off[r]
-		off[r] = base
-		base += c
+	// Prefix-sum the counts into run ends; cur holds the run starts.
+	cur := make([]int32, len(rle))
+	var end int32
+	for r := range rle {
+		cur[r] = end
+		end += rle[r].hi
+		rle[r].hi = end
 	}
-	off = append(off, base)
 	// Pass 2: scatter edges to their run slots.
-	cur := make([]int32, len(heads))
-	copy(cur, off[:len(heads)])
+	to := sb.to[sb.ePos : sb.ePos+len(edges)]
+	w := sb.w[sb.ePos : sb.ePos+len(edges)]
 	for _, e := range edges {
 		p := sb.runOf[e.From]
-		sb.to[cur[p]] = int32(e.To)
-		sb.w[cur[p]] = e.W
+		to[cur[p]] = int32(e.To)
+		w[cur[p]] = e.W
 		cur[p]++
 	}
-	b := soaBucket{
-		heads:   heads,
-		off:     off,
-		to:      sb.to[sb.ePos : sb.ePos+len(edges)],
-		w:       sb.w[sb.ePos : sb.ePos+len(edges)],
-		runBase: int32(sb.hPos),
+	for _, hr := range rle {
+		sb.runOf[hr.h] = -1
 	}
-	// Rebase offsets to be bucket-relative and reset the scratch.
-	for r := range b.off {
-		b.off[r] -= int32(sb.ePos)
-	}
-	b.rle = sb.rle[sb.hPos : sb.hPos+len(heads)]
-	for r := range heads {
-		b.rle[r] = headRun{h: heads[r], hi: b.off[r+1]}
-	}
-	for _, h := range heads {
-		sb.runOf[h] = -1
-	}
-	sb.hPos += len(heads)
-	sb.oPos += len(off)
+	b := soaBucket{to: to, w: w, rle: rle, eBase: int32(sb.ePos), runBase: int32(sb.hPos)}
+	sb.hPos += len(rle)
 	sb.ePos += len(edges)
 	return b
 }
@@ -240,22 +229,9 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 	edges := make([][]graph.Edge, 1+3*h) // per bucket id
 	edges[0] = original
 	bucket := func(e graph.Edge) {
-		lu, lv := t.Level(e.From), t.Level(e.To)
-		if lu == separator.LevelUndef || lv == separator.LevelUndef {
-			// Only reachable through leaf-interior segments; the ℓ-phases
-			// of original edges cover these.
-			return
+		if id := s.levelBucket(t, e.From, e.To); id > 0 {
+			edges[id] = append(edges[id], e)
 		}
-		var id int
-		switch {
-		case lu == lv:
-			id = s.bucketID(classSame, lu)
-		case lu > lv:
-			id = s.bucketID(classDesc, lu)
-		default:
-			id = s.bucketID(classAsc, lv)
-		}
-		edges[id] = append(edges[id], e)
 	}
 	for _, e := range original {
 		bucket(e)
@@ -279,16 +255,34 @@ func NewSchedule(t *separator.Tree, original, shortcuts []graph.Edge, l int) *Sc
 		s.buckets[a] = sb.build(edges[a])
 	}
 	s.runs = sb.hPos
+	s.to, s.w = sb.to, sb.w
 	eAll := &s.buckets[0]
-	s.eAllBlocks = (len(eAll.heads) + eAllBlockRuns - 1) / eAllBlockRuns
+	s.eAllBlocks = (len(eAll.rle) + eAllBlockRuns - 1) / eAllBlockRuns
 	s.eAllBlockOf = make([]int32, t.N())
 	for v := range s.eAllBlockOf {
 		s.eAllBlockOf[v] = int32(s.eAllBlocks) // dummy: no original out-edge
 	}
-	for r, h := range eAll.heads {
-		s.eAllBlockOf[h] = int32(r / eAllBlockRuns)
+	for r, hr := range eAll.rle {
+		s.eAllBlockOf[hr.h] = int32(r / eAllBlockRuns)
 	}
 	return s
+}
+
+// levelBucket returns the id of the level-scoped bucket holding edge u→v,
+// or -1 when an endpoint has no level: such an edge lies inside a leaf and
+// only the ℓ-phases of original edges need it.
+func (s *Schedule) levelBucket(t *separator.Tree, u, v int) int {
+	lu, lv := t.Level(u), t.Level(v)
+	switch {
+	case lu == separator.LevelUndef || lv == separator.LevelUndef:
+		return -1
+	case lu == lv:
+		return s.bucketID(classSame, lu)
+	case lu > lv:
+		return s.bucketID(classDesc, lu)
+	default:
+		return s.bucketID(classAsc, lv)
+	}
 }
 
 // edgeView returns the []graph.Edge form of every bucket, indexed by bucket
@@ -474,4 +468,23 @@ func (s *Schedule) WorkPerSource() int64 {
 // view.
 func (s *Schedule) Run(relax func(edges []graph.Edge)) {
 	s.RunPhases(func(_ PhaseInfo, edges []graph.Edge) { relax(edges) })
+}
+
+// Equal reports whether two schedules are bit-identical: the same phase
+// structure and the same arena, bucket for bucket, in the same order with
+// the same weights.
+func (s *Schedule) Equal(o *Schedule) bool {
+	if s.height != o.height || s.l != o.l || s.runs != o.runs || s.prevRuns != o.prevRuns ||
+		s.eAllBlocks != o.eAllBlocks || !slices.Equal(s.eAllBlockOf, o.eAllBlockOf) ||
+		len(s.buckets) != len(o.buckets) {
+		return false
+	}
+	for id := range s.buckets {
+		a, b := &s.buckets[id], &o.buckets[id]
+		if a.eBase != b.eBase || a.runBase != b.runBase || !slices.Equal(a.rle, b.rle) ||
+			!slices.Equal(a.to, b.to) || !slices.Equal(a.w, b.w) {
+			return false
+		}
+	}
+	return true
 }

@@ -26,24 +26,29 @@ func TestSoAArenaMatchesAoSViews(t *testing.T) {
 		if b.edges() != len(edges) {
 			t.Fatalf("phase %d: arena holds %d edges, view %d", i, b.edges(), len(edges))
 		}
-		if len(b.off) != len(b.heads)+1 || b.off[0] != 0 || int(b.off[len(b.heads)]) != len(b.to) {
-			t.Fatalf("phase %d: malformed run offsets %v for %d heads", i, b.off, len(b.heads))
+		if n := len(b.rle); n > 0 && int(b.rle[n-1].hi) != len(b.to) {
+			t.Fatalf("phase %d: last run ends at %d, bucket holds %d edges", i, b.rle[n-1].hi, len(b.to))
 		}
 		seen := map[int32]bool{}
 		pos := 0
-		for r := range b.heads {
-			if seen[b.heads[r]] {
-				t.Fatalf("phase %d: head %d appears in two runs", i, b.heads[r])
+		lo := int32(0)
+		for _, hr := range b.rle {
+			if seen[hr.h] {
+				t.Fatalf("phase %d: head %d appears in two runs", i, hr.h)
 			}
-			seen[b.heads[r]] = true
-			for j := b.off[r]; j < b.off[r+1]; j++ {
+			if hr.hi <= lo {
+				t.Fatalf("phase %d: empty or decreasing run ending at %d", i, hr.hi)
+			}
+			seen[hr.h] = true
+			for j := lo; j < hr.hi; j++ {
 				want := edges[pos]
-				if int(b.heads[r]) != want.From || int(b.to[j]) != want.To || b.w[j] != want.W {
+				if int(hr.h) != want.From || int(b.to[j]) != want.To || b.w[j] != want.W {
 					t.Fatalf("phase %d edge %d: arena (%d,%d,%v) != view %+v",
-						i, pos, b.heads[r], b.to[j], b.w[j], want)
+						i, pos, hr.h, b.to[j], b.w[j], want)
 				}
 				pos++
 			}
+			lo = hr.hi
 		}
 	}
 }
@@ -126,25 +131,23 @@ func TestSourcesPruningMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestArenaRunArraysSizedToRuns: the arena's run arrays (heads, rle, and
-// off with one sentinel per bucket) hold exactly one slot per head run, not
-// one per edge. Bucket 0 starts the shared arrays, so its capacity is the
+// TestArenaRunArraysSizedToRuns: the arena's run headers (rle) hold
+// exactly one slot per head run, not one per edge. Bucket 0 starts the shared arrays, so its capacity is the
 // whole arena's.
 func TestArenaRunArraysSizedToRuns(t *testing.T) {
 	eng, _ := buildGridEngine(t, []int{11, 9}, gen.UniformWeights(0.2, 3), 4, Config{})
 	s := eng.Schedule()
 	runs, edges := 0, 0
 	for k := range s.buckets {
-		runs += len(s.buckets[k].heads)
+		runs += len(s.buckets[k].rle)
 		edges += s.buckets[k].edges()
 	}
 	if runs != s.runs || runs >= edges {
 		t.Fatalf("counted %d runs over %d edges, schedule says %d runs", runs, edges, s.runs)
 	}
 	b := &s.buckets[0]
-	if cap(b.heads) != runs || cap(b.rle) != runs || cap(b.off) != runs+len(s.buckets) {
-		t.Fatalf("run arrays cap heads=%d rle=%d off=%d, want %d, %d, %d",
-			cap(b.heads), cap(b.rle), cap(b.off), runs, runs, runs+len(s.buckets))
+	if cap(b.rle) != runs {
+		t.Fatalf("run headers cap %d, want %d", cap(b.rle), runs)
 	}
 	if cap(b.to) != edges || cap(b.w) != edges {
 		t.Fatalf("edge arrays cap to=%d w=%d, want %d", cap(b.to), cap(b.w), edges)

@@ -89,8 +89,8 @@ func TestRegistryUnknownID(t *testing.T) {
 		t.Fatal("unknown id accepted")
 	}
 	ids := IDs()
-	if len(ids) != 23 {
-		t.Fatalf("expected 23 registered experiments, have %d: %v", len(ids), ids)
+	if len(ids) != 24 {
+		t.Fatalf("expected 24 registered experiments, have %d: %v", len(ids), ids)
 	}
 }
 

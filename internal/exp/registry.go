@@ -115,6 +115,9 @@ var registry = map[string]Runner{
 	"E-cache": func(_ *pram.Executor, scale int, _ *obs.Sink) (*Result, error) {
 		return CacheExperiment(scale)
 	},
+	"E-delta": func(_ *pram.Executor, scale int, _ *obs.Sink) (*Result, error) {
+		return DeltaExperiment(scale)
+	},
 }
 
 // gates maps experiment ids to regression gates: a gate compares the
@@ -124,6 +127,7 @@ var gates = map[string]func(curr, base *Result) []string{
 	"E-build": GateBuild,
 	"E-query": GateQuery,
 	"E-cache": GateCache,
+	"E-delta": GateDelta,
 }
 
 // Gate compares a fresh result for id against a recorded baseline. The

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -112,6 +113,29 @@ func (g *Digraph) EdgeList() []Edge {
 		return true
 	})
 	return es
+}
+
+// EdgeAt returns edge i in EdgeList order (0 ≤ i < M()).
+func (g *Digraph) EdgeAt(i int) Edge {
+	from := sort.Search(g.n, func(v int) bool { return int(g.outHead[v+1]) > i })
+	return Edge{From: from, To: int(g.outTo[i]), W: g.outW[i]}
+}
+
+// WeightChanges compares g with o edge by edge. When both have the same
+// CSR structure — the same vertex count and the same out-adjacency in the
+// same order, so edge i of one is edge i of the other — it returns the
+// indices, in EdgeList order, of the edges whose weight differs, and
+// ok = true. Otherwise ok is false.
+func (g *Digraph) WeightChanges(o *Digraph) (changed []int, ok bool) {
+	if g.n != o.n || !slices.Equal(g.outHead, o.outHead) || !slices.Equal(g.outTo, o.outTo) {
+		return nil, false
+	}
+	for i, w := range g.outW {
+		if w != o.outW[i] {
+			changed = append(changed, i)
+		}
+	}
+	return changed, true
 }
 
 // HasEdge reports whether a directed edge from -> to exists, and if so

@@ -122,6 +122,11 @@ type Event struct {
 	// Degraded reports whether the index was serving from the baseline
 	// fallback engine at the time.
 	Degraded bool `json:"degraded"`
+	// DirtyNodes is, for a swap event, how many decomposition-tree nodes
+	// the rebuild recomputed: all of them for a full rebuild, those whose
+	// subgraph holds a changed edge for an incremental one. Omitted when
+	// zero (query events, and reweights that changed no weight).
+	DirtyNodes int32 `json:"dirty_nodes,omitempty"`
 }
 
 // slot is one ring cell. ver is a per-slot seqlock: odd while a writer is
@@ -136,6 +141,7 @@ type slot struct {
 	queueNs atomic.Int64
 	compNs  atomic.Int64
 	epoch   atomic.Uint64
+	dirty   atomic.Int32
 	// packed: source in the high 32 bits, batch in the low 32.
 	srcBatch atomic.Uint64
 	// packed: kind<<16 | outcome<<8 | degraded.
@@ -211,6 +217,7 @@ func (r *Recorder) Record(e Event) {
 	s.queueNs.Store(e.QueueNanos)
 	s.compNs.Store(e.ComputeNanos)
 	s.epoch.Store(e.Epoch)
+	s.dirty.Store(e.DirtyNodes)
 	s.srcBatch.Store(uint64(uint32(e.Source))<<32 | uint64(uint32(e.Batch)))
 	var deg uint64
 	if e.Degraded {
@@ -236,6 +243,7 @@ func (s *slot) read() (e Event, ok bool) {
 			QueueNanos:   s.queueNs.Load(),
 			ComputeNanos: s.compNs.Load(),
 			Epoch:        s.epoch.Load(),
+			DirtyNodes:   s.dirty.Load(),
 		}
 		sb := s.srcBatch.Load()
 		e.Source = int32(sb >> 32)

@@ -125,9 +125,9 @@ func (e *epochIndex) acquire() bool {
 //
 // The lifecycle is the paper's comment (iv) operationalized: the separator
 // decomposition depends only on the undirected skeleton, so a traffic-cost
-// update (same roads, new weights) reruns only the E+ construction — in
-// the background, on the serving executor, while the old epoch keeps
-// answering queries. When the rebuild finishes, the new index is stamped
+// update (same roads, new weights) reruns only the E+ construction, and
+// only for the tree nodes the changed edges reach — in the background, on
+// the serving executor, while the old epoch keeps answering queries. When the rebuild finishes, the new index is stamped
 // with the next epoch and swapped in atomically: new requests route to it
 // immediately, in-flight requests drain on the old epoch, and the old epoch
 // is released only when its last request completes.
@@ -293,21 +293,22 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 	old := m.cur.Load()
 	start := time.Now()
 	type result struct {
-		ix  *Index
-		err error
+		ix    *Index
+		dirty int // tree nodes the rebuild recomputed
+		err   error
 	}
 	done := make(chan result, 1)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				done <- result{nil, newPanicError("rebuild", r)}
+				done <- result{err: newPanicError("rebuild", r)}
 			}
 		}()
 		if m.inj != nil {
 			m.inj.Fire(faultinject.SiteManagerRebuild)
 		}
-		ix, err := old.ix.WithWeightsContext(ctx, g)
-		done <- result{ix, err}
+		ix, dirty, err := old.ix.reweighted(ctx, g)
+		done <- result{ix, dirty, err}
 	}()
 	// The rebuild goroutine observes ctx at its loop boundaries, so waiting
 	// for it here stays bounded after a cancellation; not abandoning it
@@ -334,7 +335,7 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 		m.failures.Add(1)
 		tel := m.tel.Load()
 		if tel != nil {
-			tel.recordRebuild(old.id, elapsed, false)
+			tel.recordRebuild(old.id, elapsed, false, 0)
 		}
 		if m.logger != nil {
 			m.logger.Error("rebuild failed; old epoch keeps serving",
@@ -360,10 +361,11 @@ func (m *Manager) Reweight(ctx context.Context, g *Graph) (uint64, error) {
 	m.swaps.Add(1)
 	m.release(old) // drop the base reference; drained once requests finish
 	if tel := m.tel.Load(); tel != nil {
-		tel.recordRebuild(next, elapsed, true)
+		tel.recordRebuild(next, elapsed, true, res.dirty)
 	}
 	if m.logger != nil {
-		m.logger.Info("epoch swapped", "epoch", next, "rebuild", elapsed, "draining", m.draining.Load())
+		m.logger.Info("epoch swapped", "epoch", next, "rebuild", elapsed,
+			"dirty_nodes", res.dirty, "tree_nodes", len(res.ix.eng.Tree().Nodes), "draining", m.draining.Load())
 	}
 	return next, nil
 }

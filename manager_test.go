@@ -161,6 +161,53 @@ func TestManagerReweightCancelled(t *testing.T) {
 	if _, err := m.Reweight(context.Background(), g2); err != nil {
 		t.Fatal(err)
 	}
+
+	// A cancel landing inside the repair driver's level loop on the
+	// incremental path: once armed, the executor's worker boundary cancels
+	// the context, and the driver's next poll between tree levels must stop
+	// the rebuild.
+	g, grid := gridGraph(t, 10, 10, 1)
+	edit := editedGraph(g, []int{17}, 1.5)
+	arm := &cancelOnWorker{}
+	ix2, err := Build(g, &Options{Decomposition: GridDecomposition(grid.Coord), Inject: arm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, dirty, err := ix2.reweighted(context.Background(), edit); err != nil || dirty >= len(ix2.eng.Tree().Nodes) {
+		t.Fatalf("edit must take the incremental path: dirty=%d err=%v", dirty, err)
+	}
+	m2 := NewManager(ix2, nil)
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	arm.cancel.Store(&cancel2)
+	if _, err := m2.Reweight(ctx2, edit); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel inside the level loop: err = %v, want context.Canceled", err)
+	}
+	if arm.fired.Load() == 0 {
+		t.Fatal("the repair never reached the executor")
+	}
+	if m2.RebuildFailures() != 0 || m2.Epoch() != 1 {
+		t.Fatalf("failures=%d epoch=%d after an in-loop cancel, want 0, 1", m2.RebuildFailures(), m2.Epoch())
+	}
+	arm.cancel.Store(nil)
+	if _, err := m2.Reweight(context.Background(), edit); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cancelOnWorker is a fault injector that, once armed with a cancel func,
+// calls it at every executor worker boundary and injects nothing.
+type cancelOnWorker struct {
+	cancel atomic.Pointer[context.CancelFunc]
+	fired  atomic.Int64
+}
+
+func (c *cancelOnWorker) Fire(site string) faultinject.Fault {
+	if f := c.cancel.Load(); f != nil && site == faultinject.SitePramWorker {
+		c.fired.Add(1)
+		(*f)()
+	}
+	return faultinject.None
 }
 
 func TestManagerReweightSingleFlight(t *testing.T) {

@@ -473,7 +473,7 @@ func buildPrimary(ctx context.Context, dg *graph.Digraph, finder separator.Finde
 	ix.stats = Stats{
 		PrepWork:       prep.Work(),
 		PrepRounds:     prep.Rounds(),
-		Shortcuts:      len(eng.Augmentation().Edges),
+		Shortcuts:      eng.Shortcuts(),
 		TreeHeight:     tree.Height,
 		MaxSeparator:   tree.MaxSeparatorSize(),
 		DiameterBound:  eng.DiameterBound(),
@@ -531,7 +531,7 @@ func (ix *Index) selfCheck() (err error) {
 			}
 		}
 	}
-	if sc := int64(len(ix.eng.Augmentation().Edges)); sc > 2*pairBound {
+	if sc := int64(ix.eng.Shortcuts()); sc > 2*pairBound {
 		return fmt.Errorf("sepsp: shortcut count %d exceeds the structural bound %d", sc, 2*pairBound)
 	}
 	for _, src := range sampleSources(ix.g.N()) {
@@ -835,7 +835,8 @@ func (ix *Index) reverseEngine() error {
 // skeleton but different edge weights and/or directions, REUSING the
 // separator decomposition — the paper's comment (iv): the decomposition
 // "needs to be computed only once for a group of instances which differ in
-// the weights and direction on edges". Only the E+ construction reruns.
+// the weights and direction on edges". Only the E+ construction reruns,
+// and only as far as the change reaches (see WithWeightsContext).
 // Returns an error if g's skeleton differs from the indexed graph's. It is
 // WithWeightsContext with a background context; for rebuild-and-swap
 // without downtime, see Manager.
@@ -847,40 +848,54 @@ func (ix *Index) WithWeights(g *Graph) (*Index, error) {
 // E+ reconstruction (ctx polled at the augmentation's outer-loop
 // boundaries, like BuildContext). A cancelled rebuild returns
 // (nil, ctx.Err()) and leaves the receiver untouched.
+//
+// The reconstruction costs in proportion to the change: when g has the
+// indexed graph's directed edges with only finite weights changed, only
+// the decomposition-tree nodes whose subgraph contains a changed edge are
+// recomputed, and the new index shares everything else with the receiver
+// (which stays valid for queries still running on it).
 func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, error) {
+	out, _, err := ix.reweighted(ctx, g)
+	return out, err
+}
+
+// reweighted is WithWeightsContext that also reports how many tree nodes
+// the reconstruction recomputed (every node on the full path).
+func (ix *Index) reweighted(ctx context.Context, g *Graph) (*Index, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !ix.primary() {
-		return nil, fmt.Errorf("%w: WithWeights needs the separator decomposition", ErrDegraded)
+		return nil, 0, fmt.Errorf("%w: WithWeights needs the separator decomposition", ErrDegraded)
 	}
 	if err := g.b.CheckWeights(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidWeight, err)
+		return nil, 0, fmt.Errorf("%w: %v", ErrInvalidWeight, err)
 	}
 	dg := g.b.Build()
-	oldSk := graph.NewSkeleton(ix.eng.Graph())
-	newSk := graph.NewSkeleton(dg)
-	if !oldSk.Equal(newSk) {
-		return nil, fmt.Errorf("%w: WithWeights requires the same undirected skeleton", ErrSkeletonMismatch)
+	// An identical edge structure has an identical skeleton; only a
+	// different directed edge set needs the skeleton comparison.
+	if _, same := ix.eng.Graph().WeightChanges(dg); !same &&
+		!graph.NewSkeleton(ix.eng.Graph()).Equal(graph.NewSkeleton(dg)) {
+		return nil, 0, fmt.Errorf("%w: WithWeights requires the same undirected skeleton", ErrSkeletonMismatch)
 	}
 	var fb *fallbackEngine
 	if ix.fb != nil {
 		var err error
 		if fb, err = newFallbackEngine(dg, ix.sink, ix.fb); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	eng, err := core.NewEngine(dg, ix.eng.Tree(), core.Config{Ex: ix.ex, Algorithm: ix.alg, Ctx: ctx})
+	eng, dirty, err := ix.eng.Reweight(dg, core.Config{Ex: ix.ex, Algorithm: ix.alg, Ctx: ctx})
 	if err != nil {
 		if errors.Is(err, augment.ErrNegativeCycle) {
-			return nil, fmt.Errorf("%w: %v", ErrNegativeCycle, err)
+			return nil, 0, fmt.Errorf("%w: %v", ErrNegativeCycle, err)
 		}
-		return nil, err
+		return nil, 0, err
 	}
 	out := &Index{eng: eng, g: dg, ex: ix.ex, alg: ix.alg, sink: ix.sink, fb: fb}
 	tree := ix.eng.Tree()
 	out.stats = Stats{
-		Shortcuts:      len(eng.Augmentation().Edges),
+		Shortcuts:      eng.Shortcuts(),
 		TreeHeight:     tree.Height,
 		MaxSeparator:   tree.MaxSeparatorSize(),
 		DiameterBound:  eng.DiameterBound(),
@@ -888,5 +903,5 @@ func (ix *Index) WithWeightsContext(ctx context.Context, g *Graph) (*Index, erro
 		QueryWork:      eng.Schedule().WorkPerSource(),
 		PhaseBreakdown: phaseBreakdown(eng.Schedule()),
 	}
-	return out, nil
+	return out, dirty, nil
 }

@@ -1,8 +1,11 @@
 package sepsp
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -278,5 +281,77 @@ func TestFuzzOracleAgainstEngine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFuzzReweightChainBitIdentical drives Manager.Reweight through a chain
+// of versions on random grids, with positive weights and with negative
+// weights made by a potential shift (w + p(u) - p(v) keeps every cycle's
+// weight, so no negative cycle appears): every version must answer
+// bit-identically to a fresh Build. A final edit that closes a negative
+// cycle must fail with ErrRebuildFailed wrapping ErrNegativeCycle and
+// leave the old epoch serving the same answers.
+func TestFuzzReweightChainBitIdentical(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, h := 4+rng.Intn(7), 4+rng.Intn(7)
+		grid := gen.NewGrid([]int{w, h}, gen.UniformWeights(0.5, 2), rng)
+		es := grid.G.EdgeList()
+		base := make([]float64, len(es))
+		for i, e := range es {
+			base[i] = e.W
+		}
+		pot := make([]float64, grid.G.N())
+		if seed%2 == 0 {
+			for v := range pot {
+				pot[v] = 3 * rng.Float64()
+			}
+		}
+		pub := func() *Graph {
+			g := NewGraph(grid.G.N())
+			for i, e := range es {
+				g.AddEdge(e.From, e.To, base[i]+pot[e.From]-pot[e.To])
+			}
+			return g
+		}
+		opt := &Options{Decomposition: GridDecomposition(grid.Coord)}
+		ix, err := Build(pub(), opt)
+		if err != nil {
+			t.Fatalf("seed=%d: %v", seed, err)
+		}
+		m := NewManager(ix, nil)
+		for version := 0; version < 5; version++ {
+			for _, i := range rng.Perm(len(es))[:1+rng.Intn(6)] {
+				base[i] *= 0.5 + 1.5*rng.Float64()
+			}
+			g := pub()
+			if _, err := m.Reweight(context.Background(), g); err != nil {
+				t.Fatalf("seed=%d version %d: %v", seed, version, err)
+			}
+			fresh, err := Build(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, m.Index(), fresh)
+		}
+		// Close a negative cycle across one lattice edge.
+		old, epoch := m.Index(), m.Epoch()
+		before := querySSSP(t, old, 0)
+		u, v := es[0].From, es[0].To
+		for i, e := range es {
+			if (e.From == u && e.To == v) || (e.From == v && e.To == u) {
+				base[i] = -10 - pot[e.From] + pot[e.To]
+			}
+		}
+		_, err = m.Reweight(context.Background(), pub())
+		if !errors.Is(err, ErrRebuildFailed) || !errors.Is(err, ErrNegativeCycle) {
+			t.Fatalf("seed=%d: negative-cycle edit: err = %v, want ErrRebuildFailed wrapping ErrNegativeCycle", seed, err)
+		}
+		if m.Epoch() != epoch || m.Index() != old {
+			t.Fatalf("seed=%d: failed reweight moved the epoch", seed)
+		}
+		if after := querySSSP(t, m.Index(), 0); !slices.Equal(before, after) {
+			t.Fatalf("seed=%d: old epoch's answers changed after a failed reweight", seed)
+		}
 	}
 }

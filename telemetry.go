@@ -299,8 +299,8 @@ func (t *Telemetry) attach(s *Server) {
 // recordRebuild records one finished reweighting rebuild attempt: the
 // duration histogram, the swap or failure counter, and a KindSwap
 // flight-recorder event tagged with the new (or, on failure, the retained)
-// epoch.
-func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped bool) {
+// epoch and the number of tree nodes the rebuild recomputed.
+func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped bool, dirty int) {
 	t.rebuildTime.Observe(elapsed.Seconds())
 	out := live.OutcomeOK
 	if swapped {
@@ -316,6 +316,7 @@ func (t *Telemetry) recordRebuild(epoch uint64, elapsed time.Duration, swapped b
 		Source:       -1,
 		ComputeNanos: elapsed.Nanoseconds(),
 		Epoch:        epoch,
+		DirtyNodes:   int32(dirty),
 	})
 }
 
